@@ -4,30 +4,17 @@ from .bignum import (
     LIMB_BASE,
     LIMB_DIGITS,
     DecimalNat,
-    compare,
     digit_count,
     digit_scan,
     digit_sum,
-    divisible_by_pow2,
     double_in_place,
     from_decimal_string,
     from_small,
     mul_small,
-    split_mod_pow10,
     to_decimal_string,
-    to_int,
     zero,
 )
-from .checks import (
-    Decomposition,
-    DigitTerm,
-    SplitWitness,
-    decompose,
-    four_power_bound_check,
-    gap_inequality_check,
-    scan_splits,
-    verify_split,
-)
+from .checks import scan_splits
 from .intlog import (
     BoundTable,
     FloorLog2Pow10Table,
@@ -44,7 +31,7 @@ from .power import (
     save_checkpoint,
     validate_multiplier,
 )
-from .ratios import RatioSample, conjecture_constant, render_fraction, running_mean
+from .ratios import conjecture_constant, render_fraction
 from .sweep import SweepConfig, SweepSummary, VerificationRecord, run_bench, run_sweep
 
 __version__ = "0.1.0"

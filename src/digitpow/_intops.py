@@ -1,43 +1,7 @@
-"""Exact big-integer helpers for the floor-log table and verify_split.
+"""The big-integer backend digitpow runs on.
 
-gmpy2 backs these when available (faster powers of ten and string
-parsing at sweep scale); plain Python ints give the same exact results
-otherwise.  The sweep's batched split checks do not use them.
+Every exact route uses Python ints and numpy; gmpy2 is not used.  The
+flag stays so that timing records can name the backend they ran on.
 """
 
-from __future__ import annotations
-
-try:
-    import gmpy2
-
-    USING_GMPY2 = True
-
-    def parse_decimal(s: str):
-        return gmpy2.mpz(s)
-
-    def pow10(k: int):
-        return gmpy2.mpz(10) ** k
-
-    def trailing_zero_bits(v) -> int:
-        # v must be positive
-        return gmpy2.bit_scan1(v)
-
-except ImportError:  # pragma: no cover - exercised via unit test shim
-    USING_GMPY2 = False
-
-    def parse_decimal(s: str) -> int:
-        return _parse(s)
-
-    def pow10(k: int) -> int:
-        return 10**k
-
-    def trailing_zero_bits(v: int) -> int:
-        return (v & -v).bit_length() - 1
-
-
-def _parse(s: str) -> int:
-    # stays under CPython's int(str) digit limit by splitting
-    if len(s) <= 1000:
-        return int(s)
-    h = len(s) // 2
-    return _parse(s[:h]) * 10 ** (len(s) - h) + _parse(s[h:])
+USING_GMPY2 = False

@@ -1,7 +1,7 @@
 """Unsigned big integers stored as little-endian base-10**9 limbs.
 
 The limb base is a power of ten so that the digit-level questions a
-power sweep keeps asking (digit sum, digit count, split at 10**k) are
+power sweep keeps asking (digit sum, digit count, trailing zeros) are
 limb-local, while the hot path of the sweep, repeated doubling,
 vectorizes over the limb array with numpy.
 
@@ -40,19 +40,11 @@ class DecimalNat:
     __slots__ = ("limbs",)
 
     def __init__(self, limbs: np.ndarray):
-        # full range validation lives in is_canonical(); the cheap top-limb
-        # assertion catches representation bugs at every construction site
+        # the cheap top-limb assertion catches representation bugs at
+        # every construction site; the tests check the full limb range
         assert limbs.dtype == _LIMB_DTYPE
         assert limbs.size == 0 or limbs[-1] != 0, "non-canonical: zero top limb"
         self.limbs = limbs
-
-    def is_canonical(self) -> bool:
-        l = self.limbs
-        if l.dtype != _LIMB_DTYPE:
-            return False
-        if l.size == 0:
-            return True
-        return bool(l[-1] != 0 and ((l >= 0) & (l < LIMB_BASE)).all())
 
     def is_zero(self) -> bool:
         return self.limbs.size == 0
@@ -64,12 +56,6 @@ class DecimalNat:
         if not isinstance(other, DecimalNat):
             return NotImplemented
         return np.array_equal(self.limbs, other.limbs)
-
-    def __lt__(self, other: "DecimalNat") -> bool:
-        return compare(self, other) < 0
-
-    def __le__(self, other: "DecimalNat") -> bool:
-        return compare(self, other) <= 0
 
     def __repr__(self) -> str:
         if self.limbs.size <= 2:
@@ -86,7 +72,6 @@ class DigitScan(NamedTuple):
     digits: np.ndarray  # int8, digit values aligned with positions
     digit_sum: int
     digit_count: int  # 0 for zero
-    text: str | None  # decimal string, only when requested
 
 
 def zero() -> DecimalNat:
@@ -151,21 +136,15 @@ def to_decimal_string(x: DecimalNat) -> str:
     return b.lstrip(b"0").decode("ascii")
 
 
-def digit_scan(x: DecimalNat, with_text: bool = False) -> DigitScan:
+def digit_scan(x: DecimalNat) -> DigitScan:
     """Scan all digits once; positions/digits cover the nonzero ones."""
     l = x.limbs
     if l.size == 0:
-        return DigitScan(_EMPTY, np.empty(0, dtype=np.int8), 0, 0,
-                         "0" if with_text else None)
+        return DigitScan(_EMPTY, np.empty(0, dtype=np.int8), 0, 0)
     flat = _digit_planes(l).ravel()
     pos = np.flatnonzero(flat)
     digits = flat[pos]
-    text = None
-    if with_text:
-        b = (flat[::-1] + np.int8(48)).astype(np.uint8).tobytes()
-        text = b.lstrip(b"0").decode("ascii")
-    return DigitScan(pos, digits, int(digits.sum(dtype=np.int64)),
-                     int(pos[-1]) + 1, text)
+    return DigitScan(pos, digits, int(digits.sum(dtype=np.int64)), int(pos[-1]) + 1)
 
 
 def digit_sum(x: DecimalNat) -> int:
@@ -245,54 +224,6 @@ def div_small(x: DecimalNat, d: int) -> tuple[DecimalNat, int]:
         out[i] = cur // d
         rem = cur % d
     return DecimalNat(np.ascontiguousarray(_trim(out))), rem
-
-
-def split_mod_pow10(x: DecimalNat, k: int) -> tuple[DecimalNat, DecimalNat]:
-    """Split at digit position k: (x mod 10**k, x // 10**k).
-
-    low + high * 10**k reconstructs x, and low < 10**k.
-    """
-    if k < 0:
-        raise ValueError(f"split position must be >= 0, got {k}")
-    l = x.limbs
-    q, r = divmod(k, LIMB_DIGITS)
-    if q >= l.size:
-        return x.copy(), zero()
-    if r == 0:
-        return (DecimalNat(_trim(l[:q]).copy()), DecimalNat(l[q:].copy()))
-    p = 10**r
-    top = int(l[q]) % p
-    low = _trim(np.append(l[:q], np.int64(top)))
-    high = l[q:] // p
-    if high.size > 1:
-        # pull the low r digits of the next limb into each high limb
-        high[:-1] += (l[q + 1:] % p) * (10 ** (LIMB_DIGITS - r))
-    return (DecimalNat(np.ascontiguousarray(low)),
-            DecimalNat(np.ascontiguousarray(_trim(high))))
-
-
-def divisible_by_pow2(x: DecimalNat, k: int) -> bool:
-    """Exact test of 2**k | x; integer arithmetic only."""
-    if k < 0:
-        raise ValueError(f"power must be >= 0, got {k}")
-    if k == 0 or x.limbs.size == 0:
-        return True
-    v = to_int(x)
-    return v & ((1 << k) - 1) == 0
-
-
-def compare(x: DecimalNat, y: DecimalNat) -> int:
-    """Total order on values: -1, 0 or 1."""
-    a, b = x.limbs, y.limbs
-    if a.size != b.size:
-        return -1 if a.size < b.size else 1
-    if a.size == 0:
-        return 0
-    diff = np.flatnonzero(a != b)
-    if diff.size == 0:
-        return 0
-    i = diff[-1]
-    return -1 if a[i] < b[i] else 1
 
 
 def trailing_zero_digits(x: DecimalNat) -> int:

@@ -1,116 +1,25 @@
-"""Digit decompositions and the split bound on powers of two.
+"""Digit-position checks and the split bound on powers of two.
 
 Two families of checks run per exponent:
 
-* the decomposition of the value into nonzero digits d_i * 10**(e_i),
-  whose positions must satisfy e_1 = 0, the consecutive-position bound
+* the positions e_1 < e_2 < ... of the nonzero digits must satisfy
+  e_1 = 0, the consecutive-position bound
   e_k <= floor(log2(10) * (e_{k-1} + 1)), and e_k < 4**(k-1);
 * the split bound: writing 2**n = low + high * 10**k with low < 10**k
   and high > 0 forces 2**k | low and low >= 2**k.
 
-Everything here is exact integer arithmetic.
+Everything here is exact integer arithmetic.  The tests compare both
+against direct reference routes on Python ints (tests/oracles.py).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from . import _intops, intlog
-from .bignum import (
-    DecimalNat,
-    digit_scan,
-    mod_pow2,
-    split_mod_pow10,
-    to_decimal_string,
-    trailing_zero_digits,
-)
+from .bignum import mod_pow2, trailing_zero_digits
 from .power import PowerState
-
-
-@dataclass(frozen=True)
-class DigitTerm:
-    """One nonzero digit with its decimal position."""
-
-    digit: int
-    exponent: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.digit <= 9:
-            raise ValueError(f"digit must be in 1..9, got {self.digit}")
-        if self.exponent < 0:
-            raise ValueError(f"exponent must be >= 0, got {self.exponent}")
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Nonzero digits of a positive value, positions strictly increasing."""
-
-    terms: tuple[DigitTerm, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.terms)
-
-    @property
-    def exponents(self) -> tuple[int, ...]:
-        return tuple(t.exponent for t in self.terms)
-
-    def digit_total(self) -> int:
-        return sum(t.digit for t in self.terms)
-
-    def to_decimal_string(self) -> str:
-        """Reassemble the decimal string the terms came from."""
-        if not self.terms:
-            raise ValueError("empty decomposition")
-        width = self.terms[-1].exponent + 1
-        chars = ["0"] * width
-        for t in self.terms:
-            chars[width - 1 - t.exponent] = str(t.digit)
-        return "".join(chars)
-
-
-def decompose(x: DecimalNat) -> Decomposition:
-    """Digit decomposition of a positive value."""
-    if x.limbs.size == 0:
-        raise ValueError("decomposition is defined for positive values only")
-    scan = digit_scan(x)
-    terms = tuple(
-        DigitTerm(int(d), int(e))
-        for d, e in zip(scan.digits.tolist(), scan.positions.tolist())
-    )
-    return Decomposition(terms)
-
-
-def gap_inequality_check(
-    dec: Decomposition,
-    floor_log2_pow10: Callable[[int], int] = intlog.exact_floor_log2_pow10,
-) -> list[bool]:
-    """Per-pair verdicts of e_k <= floor(log2(10) * (e_{k-1} + 1)).
-
-    Empty (vacuous pass) for single-term decompositions.  All entries
-    hold when the source value is a power of two.
-    """
-    es = dec.exponents
-    return [es[i] <= floor_log2_pow10(es[i - 1] + 1) for i in range(1, len(es))]
-
-
-def four_power_bound_check(dec: Decomposition) -> bool:
-    """True iff e_1 = 0 and e_k < 4**(k-1) for every term."""
-    es = dec.exponents
-    if not es or es[0] != 0:
-        return False
-    cap = es[-1]
-    p = 1
-    for e in es:
-        if p > cap:
-            return True  # positions are increasing and already below p
-        if e >= p:
-            return False
-        p *= 4
-    return True
 
 
 class PositionChecks(NamedTuple):
@@ -125,64 +34,23 @@ def check_positions(
     bound_caps: np.ndarray,
     four_caps: np.ndarray,
 ) -> PositionChecks:
-    """Vectorized twin of the decomposition checks, for sweep use.
+    """Vectorized position checks on one value's nonzero digits.
 
     pos holds the nonzero-digit positions ascending; gap_values must
     cover index pos[-1] + 1 and the caps arrays must have length >= m.
-    Agrees with gap_inequality_check / four_power_bound_check on the
-    same value (property-tested).
     """
     m = pos.size
     if m == 0:
         raise ValueError("no nonzero digits")
-    gap_ok = bool(np.all(pos[1:] <= gap_values[pos[:-1] + 1]))
+    # index the shifted view rather than build pos + 1: one m-sized
+    # temporary less per row, and with three of them freed at the top of
+    # the heap glibc trimmed and regrew it on every row (about 57 page
+    # faults per row at n = 80000)
+    gap_ok = bool(np.all(pos[1:] <= gap_values[1:][pos[:-1]]))
     e1_ok = bool(pos[0] == 0)
     fourpow_ok = e1_ok and bool(np.all(pos < four_caps[:m]))
     bound_ok = bool(np.all(pos <= bound_caps[:m]))
     return PositionChecks(gap_ok, fourpow_ok, bound_ok)
-
-
-@dataclass(frozen=True)
-class SplitWitness:
-    """Outcome of one split 2**n = low + high * 10**k.
-
-    When high = 0 the split covers the whole value and the bound's
-    hypotheses do not apply: in_scope is False and the verdict fields
-    are None rather than pass/fail.
-    """
-
-    n: int
-    k: int
-    low: DecimalNat
-    high: DecimalNat
-    in_scope: bool
-    low_positive: bool | None
-    divisible: bool | None  # 2**k | low
-    large_enough: bool | None  # low >= 2**k
-
-    @property
-    def ok(self) -> bool | None:
-        if not self.in_scope:
-            return None
-        return bool(self.low_positive and self.divisible and self.large_enough)
-
-
-def verify_split(state: PowerState, k: int) -> SplitWitness:
-    """Check the split bound for 2**n at position k (1 <= k <= n)."""
-    if state.multiplier != 2:
-        raise ValueError("the split bound applies to powers of two")
-    if not 1 <= k <= state.n:
-        raise ValueError(f"k must be in 1..{state.n}, got {k}")
-    low, high = split_mod_pow10(state.value, k)
-    if high.limbs.size == 0:
-        return SplitWitness(state.n, k, low, high, False, None, None, None)
-    v = _intops.parse_decimal(to_decimal_string(low))
-    low_positive = v > 0
-    divisible = bool(low_positive) and _intops.trailing_zero_bits(v) >= k
-    large_enough = v.bit_length() > k  # exact: low >= 2**k iff bits > k
-    return SplitWitness(
-        state.n, k, low, high, True, bool(low_positive), divisible, bool(large_enough)
-    )
 
 
 def scan_splits(state: PowerState, ks: Iterable[int]) -> tuple[int, list[int]]:
@@ -200,8 +68,9 @@ def scan_splits(state: PowerState, ks: Iterable[int]) -> tuple[int, list[int]]:
       follows from the two above.
 
     None of this assumes x is a power of two, so the failed positions
-    are those verify_split (which forms each A directly) would report.
-    The only big-integer work is x mod 2**K for the largest K.
+    are those the split oracle in tests/oracles.py, which forms each A
+    directly, reports.  The only big-integer work is x mod 2**K for the
+    largest K.
     """
     if state.multiplier != 2:
         raise ValueError("the split bound applies to powers of two")

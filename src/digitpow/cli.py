@@ -11,9 +11,9 @@ import json
 import sys
 from contextlib import contextmanager
 
-from .bignum import digit_sum
-from .checks import decompose, four_power_bound_check, gap_inequality_check
-from .intlog import bound_table
+from .bignum import digit_scan, digit_sum
+from .checks import check_positions
+from .intlog import DominanceCaps, FloorLog2Pow10Table, bound_table
 from .oeis import BFileFormatError, cross_check, parse_bfile
 from .power import CheckpointError, PowerState
 from .ratios import conjecture_constant
@@ -92,26 +92,31 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     state = PowerState.start(args.multiplier)
     for _ in range(args.n):
         state.step()
-    dec = decompose(state.value)
-    gap = gap_inequality_check(dec)
-    fourpow = four_power_bound_check(dec)
+    # the same scan and position checks as a sweep row
+    scan = digit_scan(state.value)
+    s, dc, m = scan.digit_sum, scan.digit_count, scan.positions.size
+    bound_caps, four_caps = DominanceCaps().arrays(m, dc - 1)
+    pc = check_positions(
+        scan.positions, FloorLog2Pow10Table().as_array(dc), bound_caps, four_caps
+    )
+    terms = list(zip(scan.digits.tolist(), scan.positions.tolist()))
     if args.format == "json":
         obj = {
             "n": args.n,
             "multiplier": args.multiplier,
-            "digit_count": dec.terms[-1].exponent + 1,
-            "s": dec.digit_total(),
-            "m": dec.m,
-            "terms": [[t.digit, t.exponent] for t in dec.terms],
-            "gap_ok": all(gap),
-            "fourpow_ok": fourpow,
+            "digit_count": dc,
+            "s": s,
+            "m": m,
+            "terms": [list(t) for t in terms],
+            "gap_ok": pc.gap_ok,
+            "fourpow_ok": pc.fourpow_ok,
         }
         print(json.dumps(obj, sort_keys=True))
     else:
         print(f"n={args.n} multiplier={args.multiplier}")
-        print(f"s={dec.digit_total()} digit_count={dec.terms[-1].exponent + 1} m={dec.m}")
-        print("terms: " + " ".join(f"({t.digit},{t.exponent})" for t in dec.terms))
-        print(f"gap_ok={int(all(gap))} fourpow_ok={int(fourpow)}")
+        print(f"s={s} digit_count={dc} m={m}")
+        print("terms: " + " ".join(f"({d},{e})" for d, e in terms))
+        print(f"gap_ok={int(pc.gap_ok)} fourpow_ok={int(pc.fourpow_ok)}")
     return 0
 
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _intops
-
 # clamp for int64 comparison tables; larger than any digit position
 INT64_CAP = np.int64(2**62)
 
@@ -23,9 +21,7 @@ def exact_floor_log2_pow10(x: int) -> int:
     """floor(x * log2(10)) for x >= 1; 0 for x = 0."""
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    if x == 0:
-        return 0
-    return _intops.pow10(x).bit_length() - 1
+    return (10**x).bit_length() - 1
 
 
 class FloorLog2Pow10Table:
@@ -38,7 +34,7 @@ class FloorLog2Pow10Table:
     """
 
     def __init__(self) -> None:
-        self._pow = _intops.parse_decimal("1")
+        self._pow = 1
         self._size = 1
         self._buf = np.zeros(1024, dtype=np.int64)
 

@@ -8,7 +8,6 @@ with a line number, never silently skipped.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Mapping
@@ -41,19 +40,12 @@ class OeisSeries:
             raise KeyError(n)
         return self.values[n - self.offset]
 
-    def items(self) -> Iterable[tuple[int, int]]:
-        return ((self.offset + i, v) for i, v in enumerate(self.values))
-
 
 def parse_bfile(source: str | Path | IO[str]) -> OeisSeries:
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
             return _parse_lines(fh)
     return _parse_lines(source)
-
-
-def parse_bfile_text(text: str) -> OeisSeries:
-    return _parse_lines(io.StringIO(text))
 
 
 def _parse_lines(lines: Iterable[str]) -> OeisSeries:

@@ -11,8 +11,10 @@ A checkpoint is a small text file:
 LF line endings, ASCII.  The digest is sha256 over the string
 "multiplier=<a>\\nn=<n>\\n<value>\\n" and is verified before the value is
 decoded, so a corrupted file aborts a resume before any compute starts.
-Writes go through a temp file plus rename, so a crash never leaves a
-half-written checkpoint behind.
+The decoded value is then compared exactly with a**n, which also rejects
+a wrong value whose digest was recomputed.  Writes go through a temp
+file plus rename, so a crash never leaves a half-written checkpoint
+behind.
 """
 
 from __future__ import annotations
@@ -25,13 +27,13 @@ from pathlib import Path
 
 from .bignum import (
     DecimalNat,
-    digit_sum,
     div_small,
     double_in_place,
     from_decimal_string,
     from_small,
     mul_small,
     to_decimal_string,
+    to_int,
 )
 
 CHECKPOINT_MAGIC = "DIGITPOW-CKPT v1"
@@ -41,7 +43,7 @@ MULTIPLIER_MAX = 99
 
 
 class CheckpointError(RuntimeError):
-    """Unreadable, corrupt or inconsistent checkpoint file."""
+    """Unreadable, corrupt or inconsistent checkpoint file or chain state."""
 
 
 def validate_multiplier(a: int) -> int:
@@ -81,12 +83,13 @@ class PowerState:
         self.n += 1
 
     def step_back(self) -> None:
-        """Undo one step exactly; raises if the value does not divide."""
+        """Undo one step exactly; raises CheckpointError if the value does
+        not divide, which only a corrupt start state can cause."""
         if self.n == 0:
             raise ValueError("cannot step back from n=0")
         q, r = div_small(self.value, self.multiplier)
         if r:
-            raise RuntimeError(
+            raise CheckpointError(
                 f"value at n={self.n} is not divisible by {self.multiplier}; "
                 "state is corrupt"
             )
@@ -175,7 +178,8 @@ def load_checkpoint(path: str | Path) -> PowerState:
         raise CheckpointError(f"invalid checkpoint {path}: {exc}") from exc
     if to_decimal_string(value) != value_str:
         raise CheckpointError(f"value does not round-trip in {path}")
-    # cheap independent sanity: digit sum must match multiplier**n mod 9
-    if digit_sum(value) % 9 != pow(multiplier, n, 9):
-        raise CheckpointError(f"value inconsistent with n in {path}")
+    # exact: a value with a valid digest but not equal to multiplier**n
+    # (say, two digits swapped) must not seed a sweep
+    if to_int(value) != pow(multiplier, n):
+        raise CheckpointError(f"value is not {multiplier}**{n} in {path}")
     return PowerState(n, value, multiplier)

@@ -8,28 +8,9 @@ so emitted files are byte-stable across platforms.
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 CONSTANT_MAX_PRECISION = 50
-
-
-@dataclass(frozen=True)
-class RatioSample:
-    """One exponent with its digit sum and the exact ratio s/n."""
-
-    n: int
-    s: int
-    ratio: Fraction = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        object.__setattr__(self, "ratio", Fraction(self.s, self.n))
-
-    def render(self, places: int = 10) -> str:
-        return render_fraction(self.ratio, places)
 
 
 def render_fraction(value: Fraction, places: int) -> str:
@@ -48,34 +29,6 @@ def render_fraction(value: Fraction, places: int) -> str:
         return str(q)
     digits = str(q).rjust(places + 1, "0")
     return f"{digits[:-places]}.{digits[-places:]}"
-
-
-def running_mean(
-    samples: Sequence[RatioSample], window: int
-) -> list[tuple[int, Fraction]]:
-    """Trailing-window arithmetic means of the ratios, one per full window.
-
-    Each result pairs the window-ending n with the exact mean of the
-    last `window` ratios.  window = 1 reproduces the ratio sequence; a
-    window larger than the sample count degrades to the single
-    full-range mean.
-    """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if not samples:
-        raise ValueError("no samples")
-    if window > len(samples):
-        total = sum((x.ratio for x in samples), Fraction(0))
-        return [(samples[-1].n, total / len(samples))]
-    out = []
-    total = Fraction(0)
-    for i, x in enumerate(samples):
-        total += x.ratio
-        if i >= window:
-            total -= samples[i - window].ratio
-        if i >= window - 1:
-            out.append((x.n, total / window))
-    return out
 
 
 def conjecture_constant(precision_digits: int) -> str:

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import digitpow as dp
-from digitpow.bignum import _pow5, div_small, mod_pow2, trailing_zero_digits
-from oracles import oracle_digit_sum, school_mul_small
+from digitpow.bignum import _pow5, div_small, mod_pow2, to_int, trailing_zero_digits
+from oracles import is_canonical, oracle_digit_sum, school_mul_small, verify_split
 
 naturals = st.integers(min_value=0, max_value=10**45)
 positives = st.integers(min_value=1, max_value=10**45)
@@ -27,7 +27,7 @@ def test_canonical_zero():
     assert dp.to_decimal_string(z) == "0"
     assert dp.from_decimal_string("0").limbs.size == 0
     assert dp.digit_sum(z) == 0
-    assert dp.to_int(z) == 0
+    assert to_int(z) == 0
 
 
 def test_from_small_examples():
@@ -83,34 +83,36 @@ def test_digit_count_examples():
 
 
 def test_split_examples():
-    low, high = dp.split_mod_pow10(dp.from_small(1024), 2)
-    assert dp.to_decimal_string(low) == "24"
-    assert dp.to_decimal_string(high) == "10"
-    low, high = dp.split_mod_pow10(dp.from_small(1024), 0)
-    assert low.is_zero()
-    assert dp.to_decimal_string(high) == "1024"
-    low, high = dp.split_mod_pow10(dp.from_small(1024), 10)
-    assert dp.to_decimal_string(low) == "1024"
-    assert high.is_zero()
-    with pytest.raises(ValueError):
-        dp.split_mod_pow10(dp.from_small(1024), -1)
+    # the split checks read A = x mod 10**k through A = x (mod 2**k) and
+    # A > 0 iff k exceeds the trailing zero digits of x
+    x = dp.from_small(1024)
+    assert verify_split(1024, 2)[:2] == (24, 10)
+    assert verify_split(1024, 10)[:2] == (1024, 0)
+    assert mod_pow2(x, 0) == 0
+    assert mod_pow2(x, 2) == 24 % 4 == 0
+    assert mod_pow2(x, 3) == 24 % 8 == 0
+    assert trailing_zero_digits(x) == 0
+    x = dp.from_small(10**5)
+    assert verify_split(10**5, 3).low == 0
+    assert trailing_zero_digits(x) == 5
+    assert trailing_zero_digits(dp.from_small(10**9)) == 9
 
 
 def test_divisible_by_pow2_examples():
-    assert dp.divisible_by_pow2(dp.from_small(24), 2)
-    assert not dp.divisible_by_pow2(dp.from_small(24), 4)
+    # 2**k | x exactly when x mod 2**k is 0
+    assert mod_pow2(dp.from_small(24), 2) == 0
+    assert mod_pow2(dp.from_small(24), 4) != 0
     for k in (0, 1, 7, 100):
-        assert dp.divisible_by_pow2(dp.zero(), k)
-    assert dp.divisible_by_pow2(dp.from_small(24), 0)
+        assert mod_pow2(dp.zero(), k) == 0
+    assert mod_pow2(dp.from_small(24), 0) == 0
 
 
 def test_compare_examples():
     a, b = dp.from_small(1024), dp.from_small(1024)
-    assert dp.compare(a, b) == 0 and a == b
-    assert dp.compare(dp.from_small(24), dp.from_small(1024)) == -1
-    assert dp.compare(dp.from_small(10**9), dp.from_small(999_999_999)) == 1
-    assert dp.from_small(24) < dp.from_small(1024)
-    assert dp.from_small(24) <= dp.from_small(24)
+    assert a == b and a is not b
+    assert dp.from_small(24) != dp.from_small(1024)
+    assert dp.from_small(10**9) != dp.from_small(999_999_999)
+    assert (dp.from_small(24) == 24) is False
 
 
 def test_parse_round_trip_limb_boundary():
@@ -127,8 +129,7 @@ def test_parse_errors(bad):
 
 
 def test_digit_scan():
-    scan = dp.digit_scan(dp.from_small(1048576), with_text=True)
-    assert scan.text == "1048576"
+    scan = dp.digit_scan(dp.from_small(1048576))
     assert scan.positions.tolist() == [0, 1, 2, 3, 4, 6]
     assert scan.digits.tolist() == [6, 7, 5, 8, 4, 1]
     assert scan.digit_sum == 31
@@ -141,34 +142,36 @@ def test_digit_scan():
 def test_string_round_trip(v):
     s = str(v)
     x = dp.from_decimal_string(s)
-    assert x.is_canonical()
+    assert is_canonical(x)
     assert dp.to_decimal_string(x) == s
-    assert dp.to_int(x) == v
+    assert to_int(x) == v
 
 
 @given(naturals)
 def test_double_matches_int(v):
     x = make(v)
     dp.double_in_place(x)
-    assert x.is_canonical()
-    assert dp.to_int(x) == 2 * v
+    assert is_canonical(x)
+    assert to_int(x) == 2 * v
 
 
 @given(naturals, st.integers(min_value=0, max_value=10**9 - 1))
 def test_mul_small_matches_int(v, c):
     y = dp.mul_small(make(v), c)
-    assert y.is_canonical()
-    assert dp.to_int(y) == v * c
+    assert is_canonical(y)
+    assert to_int(y) == v * c
 
 
 @given(naturals, st.integers(min_value=0, max_value=60))
 def test_split_reconstruction(v, k):
+    # the two facts about A = v mod 10**k that scan_splits reads from
+    # the limbs instead of forming A
     x = make(v)
-    low, high = dp.split_mod_pow10(x, k)
-    assert low.is_canonical() and high.is_canonical()
-    assert dp.to_int(low) + dp.to_int(high) * 10**k == v
-    assert dp.to_int(low) < 10**k
-    assert dp.to_int(low) == v % 10**k
+    low, high, _ = verify_split(v, k)
+    assert low + high * 10**k == v and low < 10**k
+    assert mod_pow2(x, k) == low % 2**k
+    if v:
+        assert (low > 0) == (k > trailing_zero_digits(x))
 
 
 @settings(deadline=None)
@@ -177,7 +180,7 @@ def test_mod_pow2_matches_int(v, bits):
     # up to 278 limbs: five 64-limb leaves, so every split level runs
     x = make(v)
     assert mod_pow2(x, bits) == v % 2**bits
-    assert dp.to_int(x) == v
+    assert to_int(x) == v
     if v:
         s = str(v)
         assert trailing_zero_digits(x) == len(s) - len(s.rstrip("0"))
@@ -208,13 +211,12 @@ def test_mod_pow2_power_cache_stays_logarithmic():
 
 @given(naturals, st.integers(min_value=0, max_value=80))
 def test_divisible_by_pow2_matches_int(v, k):
-    assert dp.divisible_by_pow2(make(v), k) == (v % 2**k == 0)
+    assert (mod_pow2(make(v), k) == 0) == (v % 2**k == 0)
 
 
 @given(naturals, naturals)
 def test_compare_matches_int(a, b):
-    expect = (a > b) - (a < b)
-    assert dp.compare(make(a), make(b)) == expect
+    assert (make(a) == make(b)) == (a == b)
 
 
 @given(naturals)
@@ -232,8 +234,8 @@ def test_digit_count_matches_len(v):
 @given(positives, st.integers(min_value=1, max_value=10**9 - 1))
 def test_div_small_matches_int(v, d):
     q, r = div_small(make(v), d)
-    assert q.is_canonical()
-    assert dp.to_int(q) * d + r == v
+    assert is_canonical(q)
+    assert to_int(q) * d + r == v
     assert 0 <= r < d
 
 

@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 import digitpow as dp
 from digitpow.checks import check_positions
 from digitpow.intlog import DominanceCaps
-from oracles import oracle_digit_sum
+from oracles import (
+    decompose,
+    four_power_bound_check,
+    gap_inequality_check,
+    oracle_digit_sum,
+    verify_split,
+)
 
 positives = st.integers(min_value=1, max_value=10**45)
 
@@ -17,98 +23,94 @@ def power_state(n: int, multiplier: int = 2) -> dp.PowerState:
     return st_
 
 
+def positions(v: int):
+    """check_positions on v, set up as a sweep row sets it up."""
+    scan = dp.digit_scan(dp.from_decimal_string(str(v)))
+    table = dp.FloorLog2Pow10Table()
+    bound_caps, four_caps = DominanceCaps().arrays(
+        scan.positions.size, scan.digit_count - 1
+    )
+    return check_positions(
+        scan.positions, table.as_array(scan.digit_count), bound_caps, four_caps
+    )
+
+
 def test_decompose_examples():
-    assert [(t.digit, t.exponent) for t in dp.decompose(dp.from_small(7)).terms] == [(7, 0)]
-    dec = dp.decompose(dp.from_small(1024))
-    assert [(t.digit, t.exponent) for t in dec.terms] == [(4, 0), (2, 1), (1, 3)]
-    assert dec.m == 3
-    assert [(t.digit, t.exponent) for t in dp.decompose(dp.from_small(10**5)).terms] == [(1, 5)]
+    assert decompose(7) == [(7, 0)]
+    assert decompose(1024) == [(4, 0), (2, 1), (1, 3)]
+    assert decompose(10**5) == [(1, 5)]
     with pytest.raises(ValueError):
-        dp.decompose(dp.zero())
-
-
-def test_digit_term_validation():
-    with pytest.raises(ValueError):
-        dp.DigitTerm(0, 3)
-    with pytest.raises(ValueError):
-        dp.DigitTerm(10, 3)
-    with pytest.raises(ValueError):
-        dp.DigitTerm(5, -1)
+        decompose(0)
+    scan = dp.digit_scan(dp.from_small(1024))
+    assert list(zip(scan.digits.tolist(), scan.positions.tolist())) == decompose(1024)
 
 
 @given(positives)
 def test_decomposition_invariants(v):
     x = dp.from_decimal_string(str(v))
-    dec = dp.decompose(x)
-    assert dec.to_decimal_string() == str(v)
-    assert dec.digit_total() == dp.digit_sum(x)
-    assert dec.m <= dec.digit_total()
-    assert dec.m <= dp.digit_count(x)
-    es = dec.exponents
+    scan = dp.digit_scan(x)
+    terms = decompose(v)
+    assert list(zip(scan.digits.tolist(), scan.positions.tolist())) == terms
+    assert scan.digit_sum == sum(d for d, _ in terms) == dp.digit_sum(x)
+    assert scan.digit_count == len(str(v))
+    m = scan.positions.size
+    assert m <= scan.digit_sum
+    assert m <= scan.digit_count
+    es = scan.positions.tolist()
     assert all(es[i] < es[i + 1] for i in range(len(es) - 1))
 
 
 def test_gap_check_examples():
-    dec = dp.decompose(dp.from_small(1024))
-    assert dp.gap_inequality_check(dec) == [True, True]
-    assert dp.gap_inequality_check(dp.decompose(dp.from_small(7))) == []
-    assert dp.gap_inequality_check(dp.decompose(dp.from_small(1))) == []
+    assert gap_inequality_check(1024) == [True, True]
+    assert gap_inequality_check(7) == []
+    assert gap_inequality_check(1) == []
+    assert positions(1024).gap_ok and positions(7).gap_ok
 
 
 def test_gap_check_not_vacuous():
     # 1000000001 jumps from position 0 to 9; 9 > floor(log2(10) * 1) = 3
-    dec = dp.decompose(dp.from_small(10**9 + 1))
-    assert dp.gap_inequality_check(dec) == [False]
+    assert gap_inequality_check(10**9 + 1) == [False]
+    assert not positions(10**9 + 1).gap_ok
 
 
 def test_four_power_examples():
-    assert dp.four_power_bound_check(dp.decompose(dp.from_small(1024)))
-    assert dp.four_power_bound_check(dp.decompose(dp.from_small(1)))
+    assert four_power_bound_check(1024)
+    assert four_power_bound_check(1)
     # divisible by ten: first nonzero digit is not at position 0
-    assert not dp.four_power_bound_check(dp.decompose(dp.from_small(10)))
-    assert not dp.four_power_bound_check(dp.decompose(dp.from_small(100)))
+    assert not four_power_bound_check(10)
+    assert not four_power_bound_check(100)
+    for v, ok in ((1024, True), (1, True), (10, False), (100, False)):
+        assert positions(v).fourpow_ok is ok
 
 
 def test_four_power_position_bound():
     # e_2 = 4 >= 4**1 must fail even with e_1 = 0
-    dec = dp.decompose(dp.from_small(10001))
-    assert [(t.digit, t.exponent) for t in dec.terms] == [(1, 0), (1, 4)]
-    assert not dp.four_power_bound_check(dec)
+    assert decompose(10001) == [(1, 0), (1, 4)]
+    assert not four_power_bound_check(10001)
+    assert not positions(10001).fourpow_ok
 
 
 def test_verify_split_examples():
-    state = power_state(10)
-    w = dp.verify_split(state, 2)
-    assert dp.to_decimal_string(w.low) == "24"
-    assert dp.to_decimal_string(w.high) == "10"
-    assert w.in_scope and w.ok
-    w = dp.verify_split(state, 1)
-    assert dp.to_decimal_string(w.low) == "4"
-    assert w.ok
+    assert verify_split(1024, 2) == (24, 10, True)
+    assert verify_split(1024, 1) == (4, 102, True)
     # split beyond all digits: high = 0, outside the bound's hypotheses
-    w = dp.verify_split(power_state(4), 4)
-    assert dp.to_decimal_string(w.low) == "16"
-    assert not w.in_scope
-    assert w.ok is None
-    with pytest.raises(ValueError):
-        dp.verify_split(state, 0)
-    with pytest.raises(ValueError):
-        dp.verify_split(state, 11)
-    with pytest.raises(ValueError):
-        dp.verify_split(power_state(5, multiplier=3), 1)
+    assert verify_split(16, 4) == (16, 0, None)
+    # low part 5 is odd; low part 0 is not positive
+    assert verify_split(1025, 1).ok is False
+    assert verify_split(1000, 2).ok is False
+    state = power_state(10)
+    assert dp.scan_splits(state, [1, 2]) == (2, [])
 
 
 @settings(deadline=None)
 @given(st.integers(min_value=1, max_value=70))
 def test_verify_split_all_k(n):
-    state = power_state(n)
-    dc = dp.digit_count(state.value)
+    dc = len(str(2**n))
     for k in range(1, n + 1):
-        w = dp.verify_split(state, k)
-        assert w.in_scope == (k <= dc - 1)
-        if w.in_scope:
+        w = verify_split(2**n, k)
+        assert (w.ok is not None) == (k <= dc - 1)
+        if w.ok is not None:
             assert w.ok, f"split bound failed at n={n}, k={k}"
-            assert w.low_positive and w.divisible and w.large_enough
 
 
 def test_scan_matches_verify_split():
@@ -119,8 +121,7 @@ def test_scan_matches_verify_split():
         checked, failed = dp.scan_splits(state, ks)
         assert checked == len(ks)
         assert failed == []
-        singles = [dp.verify_split(state, k).ok for k in ks]
-        assert all(singles)
+        assert all(verify_split(2**n, k).ok for k in ks)
 
 
 def test_scan_detects_tampering():
@@ -129,12 +130,11 @@ def test_scan_detects_tampering():
     checked, failed = dp.scan_splits(state, [1, 2, 3])
     assert checked == 3
     assert 1 in failed  # low digit 5 is odd
-    w = dp.verify_split(state, 1)
-    assert w.ok is False and w.divisible is False
+    assert verify_split(1025, 1).ok is False
 
 
 def split_state(v: int) -> dp.PowerState:
-    # n only bounds verify_split's k range; the value need not be 2**n
+    # n does not enter scan_splits; the value need not be 2**n
     x = dp.from_decimal_string(str(v))
     return dp.PowerState(dp.digit_count(x), x, 2)
 
@@ -160,7 +160,7 @@ def test_scan_failures_match_verify_split(v, data):
     ks = data.draw(st.sets(st.integers(1, dc - 1), min_size=1, max_size=12))
     checked, failed = dp.scan_splits(state, ks)
     assert checked == len(ks)
-    assert failed == sorted(k for k in ks if dp.verify_split(state, k).ok is False)
+    assert failed == sorted(k for k in ks if verify_split(v, k).ok is False)
 
 
 def test_scan_empty_and_errors():
@@ -175,18 +175,9 @@ def test_scan_empty_and_errors():
 @settings(deadline=None)
 @given(st.integers(min_value=1, max_value=500))
 def test_vector_checks_match_decomposition_route(n):
-    state = power_state(n)
-    scan = dp.digit_scan(state.value)
-    table = dp.FloorLog2Pow10Table()
-    table.ensure(scan.digit_count + 1)
-    caps = DominanceCaps()
-    bound_caps, four_caps = caps.arrays(scan.positions.size, scan.digit_count - 1)
-    result = check_positions(
-        scan.positions, table.as_array(scan.digit_count), bound_caps, four_caps
-    )
-    dec = dp.decompose(state.value)
-    assert result.gap_ok == all(dp.gap_inequality_check(dec))
-    assert result.fourpow_ok == dp.four_power_bound_check(dec)
+    result = positions(2**n)
+    assert result.gap_ok == all(gap_inequality_check(2**n))
+    assert result.fourpow_ok == four_power_bound_check(2**n)
     assert result.bound_ok  # iterated bounds dominate true positions
     assert result.gap_ok and result.fourpow_ok
 
@@ -213,5 +204,5 @@ def test_decompose_matches_oracle_digit_sums():
     state = dp.PowerState.start()
     for n in range(1, 120):
         state.step()
-        dec = dp.decompose(state.value)
-        assert dec.digit_total() == oracle_digit_sum(n)
+        assert dp.digit_scan(state.value).digit_sum == oracle_digit_sum(n)
+        assert sum(d for d, _ in decompose(2**n)) == oracle_digit_sum(n)

@@ -5,9 +5,18 @@ from fractions import Fraction
 import pytest
 
 import digitpow as dp
+import digitpow.sweep
 from digitpow.cli import main
 from digitpow.sweep import CSV_HEADER, sample_split_positions
-from oracles import bfile_text, oracle_digit_sum
+from oracles import (
+    bfile_text,
+    checkpoint_text,
+    decompose,
+    four_power_bound_check,
+    gap_inequality_check,
+    oracle_digit_sum,
+    swap_adjacent_digits,
+)
 
 
 def run_csv(cfg: dp.SweepConfig) -> tuple[dp.SweepSummary, list[str]]:
@@ -136,11 +145,19 @@ def test_sweep_resume_matches_fresh(tmp_path):
     assert resumed_rows[1:] == fresh_rows[31:]
 
 
-def test_sweep_resume_detects_tampered_chain(tmp_path):
-    # mod-9-consistent wrong value: the split checks catch it downstream
-    ckpt = dp.save_checkpoint(
-        dp.PowerState(10, dp.from_small(1033), 2), tmp_path / "ck.txt"
-    )
+def resume_from(monkeypatch, state: dp.PowerState) -> None:
+    # hand the sweep a start state the checkpoint loader would reject
+    monkeypatch.setattr(digitpow.sweep, "load_checkpoint", lambda path: state.clone())
+
+
+def test_sweep_resume_detects_tampered_chain(tmp_path, monkeypatch):
+    # mod-9-consistent wrong value: the loader's exact check rejects it
+    tampered = dp.PowerState(10, dp.from_small(1033), 2)
+    ckpt = dp.save_checkpoint(tampered, tmp_path / "ck.txt")
+    with pytest.raises(dp.CheckpointError):
+        dp.run_sweep(dp.SweepConfig(max_n=12, start_checkpoint=ckpt))
+    # past the loader, the split checks still catch it downstream
+    resume_from(monkeypatch, tampered)
     summary, records = dp.run_sweep(
         dp.SweepConfig(max_n=12, start_checkpoint=ckpt), collect=True
     )
@@ -230,16 +247,44 @@ def test_cli_verify_rejects_power_of_ten(capsys):
     assert "power of ten" in capsys.readouterr().err
 
 
-def test_cli_verify_resume_failure_exit(tmp_path, capsys):
-    ckpt = dp.save_checkpoint(
-        dp.PowerState(10, dp.from_small(1033), 2), tmp_path / "ck.txt"
-    )
+def test_cli_verify_resume_failure_exit(tmp_path, capsys, monkeypatch):
+    tampered = dp.PowerState(10, dp.from_small(1033), 2)
+    ckpt = dp.save_checkpoint(tampered, tmp_path / "ck.txt")
     out = tmp_path / "rows.csv"
-    code = main([
-        "verify", "--max-n", "12", "--start-checkpoint", str(ckpt), "--out", str(out)
-    ])
-    assert code == 1
+    argv = ["verify", "--max-n", "12", "--start-checkpoint", str(ckpt), "--out", str(out)]
+    assert main(argv) == 2
+    assert "is not 2**10" in capsys.readouterr().err
+    # a failing row, not a bad checkpoint, exits 1
+    resume_from(monkeypatch, tampered)
+    assert main(argv) == 1
     assert "FAIL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", ["1", "100"])
+def test_cli_stats_rejects_forged_checkpoint(tmp_path, capsys, window):
+    # two digits of 2**200 swapped, digest recomputed: same value mod 9
+    path = tmp_path / "ck.txt"
+    path.write_text(checkpoint_text(2, 200, swap_adjacent_digits(str(2**200))))
+    code = main([
+        "stats", "--start-checkpoint", str(path), "--range", "201:203",
+        "--window", window,
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("digitpow stats: error:") and "2**200" in err
+
+
+def test_cli_stats_step_back_failure(capsys, monkeypatch):
+    # warming the window steps back from 9 at n=3, which 2 does not divide
+    resume_from(monkeypatch, dp.PowerState(3, dp.from_small(9), 2))
+    code = main([
+        "stats", "--start-checkpoint", "ck.txt", "--range", "4:5", "--window", "100",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "digitpow stats: error: value at n=3 is not divisible by 2; state is corrupt"
+    ]
 
 
 def test_cli_stats(tmp_path, capsys):
@@ -282,6 +327,28 @@ def test_cli_decompose_json(capsys):
     assert obj["s"] == 31 and obj["m"] == 6
     assert obj["terms"] == [[6, 0], [7, 1], [5, 2], [8, 3], [4, 4], [1, 6]]
     assert obj["gap_ok"] is True and obj["fourpow_ok"] is True
+
+
+def test_cli_decompose_failing_verdicts(capsys):
+    # 20**3 = 8000: its only nonzero digit is not at position 0
+    assert main(["decompose", "3", "--multiplier", "20"]) == 0
+    out = capsys.readouterr().out
+    assert "terms: (8,3)" in out
+    assert "gap_ok=1 fourpow_ok=0" in out
+
+
+@pytest.mark.parametrize("n,multiplier", [(3, 20), (20, 57), (300, 2)])
+def test_cli_decompose_json_matches_oracle(capsys, n, multiplier):
+    # 57**20 has a gap wider than the bound and fails both verdicts
+    v = multiplier**n
+    assert main(["decompose", str(n), "--multiplier", str(multiplier),
+                 "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["terms"] == [list(t) for t in decompose(v)]
+    assert obj["s"] == oracle_digit_sum(n, multiplier)
+    assert obj["digit_count"] == len(str(v))
+    assert obj["gap_ok"] is all(gap_inequality_check(v))
+    assert obj["fourpow_ok"] is four_power_bound_check(v)
 
 
 def test_cli_oeis_clean(tmp_path, capsys):

@@ -2,7 +2,7 @@ import pytest
 
 import digitpow as dp
 from digitpow.power import _payload_digest
-from oracles import oracle_value_str
+from oracles import checkpoint_text, oracle_value_str, swap_adjacent_digits
 
 
 @pytest.mark.parametrize("multiplier", [2, 3, 7, 99])
@@ -49,7 +49,7 @@ def test_step_back():
 
 def test_step_back_detects_corruption():
     state = dp.PowerState(3, dp.from_small(9), 2)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(dp.CheckpointError):
         state.step_back()
 
 
@@ -165,3 +165,13 @@ def test_checkpoint_rejects_inconsistent_value(tmp_path):
     )
     with pytest.raises(dp.CheckpointError):
         dp.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_swapped_digits(tmp_path):
+    forged = swap_adjacent_digits(str(2**200))
+    assert forged != str(2**200)
+    path = tmp_path / "ck.txt"
+    path.write_text(checkpoint_text(2, 200, forged))
+    with pytest.raises(dp.CheckpointError) as exc:
+        dp.load_checkpoint(path)
+    assert "2**200" in str(exc.value)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import digitpow as dp
+from digitpow.sweep import _RatioWindow
 from oracles import oracle_digit_sum
 
 
@@ -45,11 +46,9 @@ def test_render_fraction_accuracy(num, den, places):
 
 
 def test_ratio_sample():
-    r = dp.RatioSample(10, 7)
-    assert r.ratio == Fraction(7, 10)
-    assert r.render(3) == "0.700"
-    with pytest.raises(ValueError):
-        dp.RatioSample(0, 5)
+    ratio, mean = _RatioWindow(1).push(10, 7)
+    assert ratio == mean == Fraction(7, 10)
+    assert dp.render_fraction(ratio, 3) == "0.700"
 
 
 def test_ratio_samples_respect_lower_bound():
@@ -57,39 +56,44 @@ def test_ratio_samples_respect_lower_bound():
     state = dp.PowerState.start()
     for n in range(1, 301):
         state.step()
-        sample = dp.RatioSample(n, dp.digit_sum(state.value))
-        assert dp.digit_sum_exceeds_log4(sample.n, sample.s)
+        assert dp.digit_sum_exceeds_log4(n, dp.digit_sum(state.value))
+
+
+# the running_mean column: _RatioWindow keeps the trailing window of
+# the emitted ratios, truncated to the rows so far at the start
+
+
+def means(pairs, window: int) -> list[tuple[int, Fraction]]:
+    w = _RatioWindow(window)
+    return [(n, w.push(n, s)[1]) for n, s in pairs]
 
 
 def test_running_mean_window_one_is_identity():
-    samples = [dp.RatioSample(n, oracle_digit_sum(n)) for n in range(1, 11)]
-    out = dp.running_mean(samples, 1)
-    assert out == [(s.n, s.ratio) for s in samples]
+    pairs = [(n, oracle_digit_sum(n)) for n in range(1, 11)]
+    assert means(pairs, 1) == [(n, Fraction(s, n)) for n, s in pairs]
 
 
 def test_running_mean_constant():
-    samples = [dp.RatioSample(n, 3 * n) for n in range(1, 9)]
+    pairs = [(n, 3 * n) for n in range(1, 9)]
     for window in (1, 2, 5):
-        assert all(m == Fraction(3) for _, m in dp.running_mean(samples, window))
+        assert all(m == Fraction(3) for _, m in means(pairs, window))
 
 
 def test_running_mean_full_range_when_window_exceeds():
-    samples = [dp.RatioSample(n, oracle_digit_sum(n)) for n in range(1, 11)]
-    out = dp.running_mean(samples, 50)
-    expected = sum((s.ratio for s in samples), Fraction(0)) / 10
-    assert out == [(10, expected)]
+    pairs = [(n, oracle_digit_sum(n)) for n in range(1, 11)]
+    out = means(pairs, 50)
+    expected = sum((Fraction(s, n) for n, s in pairs), Fraction(0)) / 10
+    assert out[-1] == (10, expected)
+    assert out[1] == (2, (Fraction(2, 1) + Fraction(4, 2)) / 2)
     # hand values: s(2**n) for n = 1..10 is 2,4,8,7,5,10,11,13,8,7
     hand = [2, 4, 8, 7, 5, 10, 11, 13, 8, 7]
-    assert [s.s for s in samples] == hand
+    assert [s for _, s in pairs] == hand
     assert expected == sum(Fraction(s, n) for n, s in enumerate(hand, 1)) / 10
 
 
 def test_running_mean_window_errors():
-    samples = [dp.RatioSample(1, 2)]
     with pytest.raises(ValueError):
-        dp.running_mean(samples, 0)
-    with pytest.raises(ValueError):
-        dp.running_mean([], 3)
+        _RatioWindow(0)
 
 
 @given(
@@ -97,14 +101,11 @@ def test_running_mean_window_errors():
     st.integers(min_value=1, max_value=8),
 )
 def test_running_mean_split_concat_invariant(pairs, window):
-    samples = [dp.RatioSample(n + i * 1001, s) for i, (n, s) in enumerate(pairs)]
-    usable = len(samples) - len(samples) % window
-    if usable == 0:
-        return
-    whole = dict(dp.running_mean(samples, window))
-    for j in range(usable // window):
-        chunk = samples[j * window:(j + 1) * window]
-        (n_end, mean), = dp.running_mean(chunk, window)
+    pairs = [(n + i * 1001, s) for i, (n, s) in enumerate(pairs)]
+    whole = dict(means(pairs, window))
+    for j in range(len(pairs) // window):
+        chunk = pairs[j * window:(j + 1) * window]
+        n_end, mean = means(chunk, window)[-1]
         assert whole[n_end] == mean
 
 
