@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 from .bignum import digit_scan, digit_sum
 from .checks import check_positions
-from .intlog import DominanceCaps, FloorLog2Pow10Table, bound_table
+from .intlog import FloorLog2Pow10Table, bound_table
 from .oeis import BFileFormatError, cross_check, parse_bfile
 from .power import CheckpointError, PowerState
 from .ratios import conjecture_constant
@@ -50,8 +50,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         max_n=args.max_n,
         multiplier=args.multiplier,
         window=args.window,
-        seed=args.seed,
-        split_checks="full" if args.full_k else "policy",
         start_checkpoint=args.start_checkpoint,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
@@ -74,7 +72,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
         max_n=hi,
         multiplier=args.multiplier,
         window=args.window,
-        seed=args.seed,
         split_checks="off",
         start_checkpoint=args.start_checkpoint,
         emit_range=(lo, hi),
@@ -95,10 +92,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     # the same scan and position checks as a sweep row
     scan = digit_scan(state.value)
     s, dc, m = scan.digit_sum, scan.digit_count, scan.positions.size
-    bound_caps, four_caps = DominanceCaps().arrays(m, dc - 1)
-    pc = check_positions(
-        scan.positions, FloorLog2Pow10Table().as_array(dc), bound_caps, four_caps
-    )
+    pc = check_positions(scan.positions, FloorLog2Pow10Table().as_array(dc))
     terms = list(zip(scan.digits.tolist(), scan.positions.tolist()))
     if args.format == "json":
         obj = {
@@ -170,8 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--multiplier", type=int, default=None,
                        help="base of the power chain (2..99, not a power of ten; "
                             "default 2 or the resumed checkpoint's base)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for the split-position sampling policy")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--window", type=int, default=None,
@@ -182,8 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="sweep n and verify every claim")
     add_common(p)
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--full-k", action="store_true",
-                   help="check every split position for every n")
     p.add_argument("--checkpoint-dir", default=None)
     p.add_argument("--checkpoint-every", type=int, default=100_000,
                    help="steps between checkpoints")

@@ -13,9 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# clamp for int64 comparison tables; larger than any digit position
-INT64_CAP = np.int64(2**62)
-
 
 def exact_floor_log2_pow10(x: int) -> int:
     """floor(x * log2(10)) for x >= 1; 0 for x = 0."""
@@ -104,43 +101,6 @@ def bound_table(k_max: int) -> BoundTable:
     return BoundTable(tuple(entries))
 
 
-class DominanceCaps:
-    """int64-clamped caps for vectorized nonzero-position checks.
-
-    arrays(m, max_position) returns (bound_caps, four_caps) of length m:
-    position i (0-based) must satisfy pos <= bound_caps[i] and
-    pos < four_caps[i].  Entries whose true bound already exceeds
-    max_position are clamped to INT64_CAP, which auto-passes; the exact
-    prefix of the recurrence is extended whenever max_position catches
-    up to its frontier.
-    """
-
-    def __init__(self) -> None:
-        self._exact = [0]  # recurrence entries, extended as needed
-        self._bound = np.empty(0, dtype=np.int64)
-        self._four = np.empty(0, dtype=np.int64)
-
-    def _rebuild(self, m: int) -> None:
-        size = max(2 * m, 4096)
-        bound = np.full(size, INT64_CAP, dtype=np.int64)
-        for i, v in enumerate(self._exact):
-            bound[i] = min(v, int(INT64_CAP))
-        four = np.full(size, INT64_CAP, dtype=np.int64)
-        exps = np.arange(31, dtype=np.int64)
-        four[:31] = np.int64(4) ** exps  # 4**31 would pass INT64_CAP
-        self._bound = bound
-        self._four = four
-
-    def arrays(self, m: int, max_position: int) -> tuple[np.ndarray, np.ndarray]:
-        dirty = False
-        while self._exact[-1] <= max_position:
-            self._exact.append(exact_floor_log2_pow10(self._exact[-1] + 1))
-            dirty = True
-        if dirty or m > self._bound.size:
-            self._rebuild(m)
-        return self._bound[:m], self._four[:m]
-
-
 def digit_sum_exceeds_log4(n: int, s: int) -> bool:
     """Exact truth of s > log4(n): equivalent to 2*s >= bit_length(n)."""
     if n < 1:
@@ -148,9 +108,7 @@ def digit_sum_exceeds_log4(n: int, s: int) -> bool:
     return 2 * s >= n.bit_length()
 
 
-def digit_count_formula_check(
-    n: int, dc: int, table: FloorLog2Pow10Table | None = None
-) -> bool:
+def digit_count_formula_check(n: int, dc: int, table: FloorLog2Pow10Table) -> bool:
     """Exact check that 2**n has dc digits: 10**(dc-1) <= 2**n < 10**dc.
 
     Both sides reduce to bit-length comparisons because 10**x is never a
@@ -160,7 +118,6 @@ def digit_count_formula_check(
         raise ValueError(f"n must be >= 0, got {n}")
     if dc < 1:
         return False
-    f = table.__getitem__ if table is not None else exact_floor_log2_pow10
-    if dc > 1 and n < f(dc - 1) + 1:
+    if dc > 1 and n < table[dc - 1] + 1:
         return False
-    return n <= f(dc)
+    return n <= table[dc]

@@ -10,15 +10,12 @@ rendered to 10 fractional digits, round-half-even, so identical flags
 give byte-identical files.  JSON output is one object per line carrying
 the CSV fields plus m and the remaining per-n verdicts.
 
-Split-check policy: every position k in 1..digit_count-1 is checked
-while n <= 2000 (or always with full_k); beyond that, ceil(log2 n)
-deterministic pseudorandom positions per n, drawn from sha256(seed, n)
-across binary size classes with both endpoints always included.  No
-low part A = x mod 10**k of the value x is formed: 2**k | A exactly
-when k <= v2(x), because 2**k | 10**k; A > 0 exactly when k exceeds the
-number of trailing zero digits of x; and a positive multiple of 2**k is
-at least 2**k.  One x mod 2**K, K the largest checked position,
-converted straight from the limbs, decides every checked k.
+The split bound is checked at every position k in 1..digit_count-1
+for every n.  No low part A = x mod 10**k of the value x is formed:
+2**k | A exactly when k <= v2(x), because 2**k | 10**k; A > 0 exactly
+when k exceeds the number of trailing zero digits of x; and a positive
+multiple of 2**k is at least 2**k.  One x mod 2**K, K = digit_count-1,
+converted straight from the limbs, decides every k.
 
 Checkpoints are written every `checkpoint_every` steps or
 `checkpoint_seconds` seconds, whichever comes first, plus once at the
@@ -27,7 +24,6 @@ end of the run.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from collections import deque
@@ -38,18 +34,12 @@ from typing import IO, Callable
 
 from .bignum import digit_scan, digit_sum
 from .checks import check_positions, scan_splits
-from .intlog import (
-    DominanceCaps,
-    FloorLog2Pow10Table,
-    digit_count_formula_check,
-    digit_sum_exceeds_log4,
-)
+from .intlog import FloorLog2Pow10Table, digit_count_formula_check, digit_sum_exceeds_log4
 from .power import PowerState, load_checkpoint, save_checkpoint, validate_multiplier
 from .ratios import render_fraction
 
 CSV_HEADER = "n,s,digit_count,ratio,running_mean,theorem_ok,lemma2_ok,gap_ok,fourpow_ok"
 RATIO_PLACES = 10
-EXHAUSTIVE_SPLIT_LIMIT = 2000
 MAX_LOGGED_FAILURES = 20
 
 CHECK_NAMES = (
@@ -68,6 +58,8 @@ class SweepConfig:
     max_n: int
     multiplier: int | None = None  # None: 2, or whatever a checkpoint carries
     window: int = 1
+    # split_checks "policy" and "full" both check every split position
+    # and seed is ignored; they remain so callers that set them still run
     seed: int = 0
     split_checks: str = "policy"  # policy | full | off
     start_checkpoint: str | Path | None = None
@@ -120,32 +112,6 @@ class SweepSummary:
             f"multiplier={self.multiplier}) {state} "
             f"in {self.elapsed:.1f}s ({rate:.0f} rows/s)"
         )
-
-
-def sample_split_positions(n: int, kmax: int, seed: int) -> list[int]:
-    """Deterministic pseudorandom split positions for one exponent.
-
-    ceil(log2 n) distinct positions, spread over binary size classes so
-    the expected cost is dominated by the largest block; 1 and kmax are
-    always included.  Derived from sha256, so stable across platforms
-    and Python versions.
-    """
-    if kmax < 1:
-        return []
-    count = max(2, (n - 1).bit_length())
-    if kmax <= count:
-        return list(range(1, kmax + 1))
-    ks = {1, kmax}
-    top = kmax.bit_length() - 1
-    ctr = 0
-    while len(ks) < count and ctr < 64 * count:
-        h = hashlib.sha256(f"{seed}:{n}:{ctr}".encode("ascii")).digest()
-        ctr += 1
-        t = h[0] % (top + 1)
-        lo = 1 << t
-        hi = min(kmax, (lo << 1) - 1)
-        ks.add(lo + int.from_bytes(h[8:16], "big") % (hi - lo + 1))
-    return sorted(ks)
 
 
 class _RatioWindow:
@@ -274,7 +240,6 @@ def run_sweep(
     is_two = state.multiplier == 2
 
     table = FloorLog2Pow10Table()
-    caps = DominanceCaps()
     window = _RatioWindow(cfg.window)
     if state.n > 0 and emit_lo <= state.n + 1:
         _warm_window(state, window)
@@ -313,16 +278,10 @@ def run_sweep(
             table.ensure(dc + 1)
             theorem_ok = digit_sum_exceeds_log4(n, s)
             dcf_ok = digit_count_formula_check(n, dc, table)
-            bound_caps, four_caps = caps.arrays(m, dc - 1)
-            pc = check_positions(scan.positions, table.as_array(dc), bound_caps, four_caps)
+            pc = check_positions(scan.positions, table.as_array(dc))
             gap_ok, fourpow_ok, ekbound_ok = pc.gap_ok, pc.fourpow_ok, pc.bound_ok
             if cfg.split_checks != "off":
-                kmax = min(n, dc - 1)
-                if cfg.split_checks == "full" or n <= EXHAUSTIVE_SPLIT_LIMIT:
-                    ks: list[int] | range = range(1, kmax + 1)
-                else:
-                    ks = sample_split_positions(n, kmax, cfg.seed)
-                checked, failed_ks = scan_splits(state, ks)
+                checked, failed_ks = scan_splits(state, min(n, dc - 1))
                 lemma2_ok = not failed_ks
                 if failed_ks and log is not None:
                     log(f"FAIL n={n}: split bound failed at k={failed_ks[:10]}")

@@ -117,3 +117,22 @@ def four_power_bound_check(v: int) -> bool:
     """True iff e_1 = 0 and e_k < 4**(k-1) for every nonzero digit."""
     es = [e for _, e in decompose(v)]
     return es[0] == 0 and all(e < 4**i for i, e in enumerate(es))
+
+
+def iterated_bound_check(v: int) -> bool:
+    """True iff e_k <= B_k for every nonzero digit, B_1 = 0 and
+    B_k = floor(log2(10) * (B_{k-1} + 1)) = (10**(B_{k-1}+1)).bit_length() - 1.
+
+    B_k is increasing, so once it passes the top position every later
+    digit is within its bound; the walk stops there, before 10**(B+1)
+    grows out of reach.
+    """
+    es = [e for _, e in decompose(v)]
+    b = 0
+    for e in es:
+        if e > b:
+            return False
+        if b > es[-1]:
+            return True
+        b = (10 ** (b + 1)).bit_length() - 1
+    return True

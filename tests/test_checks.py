@@ -4,11 +4,11 @@ from hypothesis import strategies as st
 
 import digitpow as dp
 from digitpow.checks import check_positions
-from digitpow.intlog import DominanceCaps
 from oracles import (
     decompose,
     four_power_bound_check,
     gap_inequality_check,
+    iterated_bound_check,
     oracle_digit_sum,
     verify_split,
 )
@@ -26,13 +26,7 @@ def power_state(n: int, multiplier: int = 2) -> dp.PowerState:
 def positions(v: int):
     """check_positions on v, set up as a sweep row sets it up."""
     scan = dp.digit_scan(dp.from_decimal_string(str(v)))
-    table = dp.FloorLog2Pow10Table()
-    bound_caps, four_caps = DominanceCaps().arrays(
-        scan.positions.size, scan.digit_count - 1
-    )
-    return check_positions(
-        scan.positions, table.as_array(scan.digit_count), bound_caps, four_caps
-    )
+    return check_positions(scan.positions, dp.FloorLog2Pow10Table().as_array(scan.digit_count))
 
 
 def test_decompose_examples():
@@ -99,7 +93,7 @@ def test_verify_split_examples():
     assert verify_split(1025, 1).ok is False
     assert verify_split(1000, 2).ok is False
     state = power_state(10)
-    assert dp.scan_splits(state, [1, 2]) == (2, [])
+    assert dp.scan_splits(state, 2) == (2, [])
 
 
 @settings(deadline=None)
@@ -117,17 +111,15 @@ def test_scan_matches_verify_split():
     for n in (5, 17, 64, 100, 212):
         state = power_state(n)
         dc = dp.digit_count(state.value)
-        ks = list(range(1, min(n, dc - 1) + 1))
-        checked, failed = dp.scan_splits(state, ks)
-        assert checked == len(ks)
-        assert failed == []
-        assert all(verify_split(2**n, k).ok for k in ks)
+        kmax = min(n, dc - 1)
+        assert dp.scan_splits(state, kmax) == (kmax, [])
+        assert all(verify_split(2**n, k).ok for k in range(1, kmax + 1))
 
 
 def test_scan_detects_tampering():
     # a value that is not a power of two fails the divisibility side
     state = dp.PowerState(10, dp.from_small(1025), 2)
-    checked, failed = dp.scan_splits(state, [1, 2, 3])
+    checked, failed = dp.scan_splits(state, 3)
     assert checked == 3
     assert 1 in failed  # low digit 5 is odd
     assert verify_split(1025, 1).ok is False
@@ -157,19 +149,19 @@ def test_scan_failures_match_verify_split(v, data):
     state = split_state(v)
     dc = dp.digit_count(state.value)
     assume(dc >= 2)
-    ks = data.draw(st.sets(st.integers(1, dc - 1), min_size=1, max_size=12))
-    checked, failed = dp.scan_splits(state, ks)
-    assert checked == len(ks)
-    assert failed == sorted(k for k in ks if verify_split(v, k).ok is False)
+    kmax = data.draw(st.integers(1, dc - 1))
+    checked, failed = dp.scan_splits(state, kmax)
+    assert checked == kmax
+    assert failed == [k for k in range(1, kmax + 1) if verify_split(v, k).ok is False]
 
 
 def test_scan_empty_and_errors():
     state = power_state(10)
-    assert dp.scan_splits(state, []) == (0, [])
+    assert dp.scan_splits(state, 0) == (0, [])
     # a zero value has low part 0 at every position
-    assert dp.scan_splits(dp.PowerState(3, dp.zero(), 2), [1, 2]) == (2, [1, 2])
+    assert dp.scan_splits(dp.PowerState(3, dp.zero(), 2), 2) == (2, [1, 2])
     with pytest.raises(ValueError):
-        dp.scan_splits(power_state(5, multiplier=3), [1])
+        dp.scan_splits(power_state(5, multiplier=3), 1)
 
 
 @settings(deadline=None)
@@ -178,26 +170,59 @@ def test_vector_checks_match_decomposition_route(n):
     result = positions(2**n)
     assert result.gap_ok == all(gap_inequality_check(2**n))
     assert result.fourpow_ok == four_power_bound_check(2**n)
+    assert result.bound_ok == iterated_bound_check(2**n)
     assert result.bound_ok  # iterated bounds dominate true positions
     assert result.gap_ok and result.fourpow_ok
 
 
 def test_vector_checks_catch_synthetic_failures():
-    table = dp.FloorLog2Pow10Table()
-    caps = DominanceCaps()
-
-    def run(v: int):
-        x = dp.from_decimal_string(str(v))
-        scan = dp.digit_scan(x)
-        table.ensure(scan.digit_count + 1)
-        bc, fc = caps.arrays(scan.positions.size, scan.digit_count - 1)
-        return check_positions(scan.positions, table.as_array(scan.digit_count), bc, fc)
-
-    r = run(10)  # e_1 != 0
+    r = positions(10)  # e_1 != 0
     assert not r.fourpow_ok
-    r = run(10**9 + 1)  # gap 0 -> 9 too wide
+    r = positions(10**9 + 1)  # gap 0 -> 9 too wide
     assert not r.gap_ok
     assert not r.bound_ok  # 9 > B_2 = 3
+
+
+# B_1..B_7 and 4**0..4**6: the bounds that bind on values up to ~4100 digits
+BOUNDS = (0, 3, 13, 46, 156, 521, 1734)
+EDGES = sorted({max(0, c + d) for c in BOUNDS + tuple(4**i for i in range(7))
+                for d in (-1, 0, 1)})
+
+position_values = st.one_of(
+    positives,
+    # sparse: nonzero digits only at the bounds and one off either side
+    st.builds(
+        lambda terms: sum(d * 10**e for e, d in terms.items()),
+        st.dictionaries(st.sampled_from(EDGES), st.integers(1, 9), min_size=1, max_size=10),
+    ),
+    # more than 31 nonzero digits, shifted to fail e_1 = 0 at times
+    st.builds(
+        lambda ds, z: int("".join(map(str, ds))) * 10**z,
+        st.lists(st.integers(1, 9), min_size=32, max_size=80),
+        st.sampled_from((0, 0, 1, 3)),
+    ),
+)
+
+
+@settings(deadline=None)
+@given(position_values)
+def test_position_checks_match_oracles(v):
+    result = positions(v)
+    assert result.gap_ok == all(gap_inequality_check(v))
+    assert result.fourpow_ok == four_power_bound_check(v)
+    assert result.bound_ok == iterated_bound_check(v)
+
+
+def test_position_checks_at_the_bounds():
+    # e_3 = 13 = B_3 passes; 14 and 15 break B_3 but stay below 4**2;
+    # 16 breaks both
+    for e3, bound_ok, fourpow_ok in ((13, True, True), (14, False, True),
+                                     (15, False, True), (16, False, False)):
+        v = 10**e3 + 10**3 + 1
+        r = positions(v)
+        assert (r.bound_ok, r.fourpow_ok) == (bound_ok, fourpow_ok)
+        assert iterated_bound_check(v) is bound_ok
+        assert four_power_bound_check(v) is fourpow_ok
 
 
 def test_decompose_matches_oracle_digit_sums():

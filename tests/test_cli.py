@@ -7,7 +7,7 @@ import pytest
 import digitpow as dp
 import digitpow.sweep
 from digitpow.cli import main
-from digitpow.sweep import CSV_HEADER, sample_split_positions
+from digitpow.sweep import CSV_HEADER
 from oracles import (
     bfile_text,
     checkpoint_text,
@@ -106,13 +106,20 @@ def test_sweep_window_means():
     assert lines[10].split(",")[4] == dp.render_fraction(mean_n10, 10)
 
 
-def test_sweep_full_k():
-    summary, records = dp.run_sweep(
-        dp.SweepConfig(max_n=40, split_checks="full"), collect=True
+@pytest.mark.parametrize("split_checks", ["policy", "full"])
+def test_sweep_checks_every_split(tmp_path, split_checks):
+    # the first rows and a band resumed above n = 2000
+    ckpt = dp.save_checkpoint(
+        dp.PowerState(2500, dp.from_decimal_string(str(2**2500)), 2), tmp_path / "ck.txt"
     )
-    assert summary.ok
-    for rec in records:
-        assert rec.lemma2_checked == min(rec.n, rec.digit_count - 1)
+    for cfg in (
+        dp.SweepConfig(max_n=40, split_checks=split_checks),
+        dp.SweepConfig(max_n=2520, start_checkpoint=ckpt, split_checks=split_checks),
+    ):
+        summary, records = dp.run_sweep(cfg, collect=True)
+        assert summary.ok
+        for rec in records:
+            assert rec.lemma2_checked == min(rec.n, rec.digit_count - 1)
 
 
 def test_sweep_rejects_bad_config():
@@ -175,18 +182,6 @@ def test_sweep_checkpoint_cadence(tmp_path):
         "ckpt-n000000000020.txt",
         "ckpt-n000000000025.txt",
     ]
-
-
-def test_sample_split_positions():
-    ks = sample_split_positions(10_000, 3010, seed=0)
-    assert ks == sorted(set(ks))
-    assert ks[0] == 1 and ks[-1] == 3010
-    assert len(ks) == 14  # ceil(log2(10000))
-    assert all(1 <= k <= 3010 for k in ks)
-    assert sample_split_positions(10_000, 3010, seed=0) == ks
-    assert sample_split_positions(10_000, 3010, seed=1) != ks
-    assert sample_split_positions(10_000, 5, seed=0) == [1, 2, 3, 4, 5]
-    assert sample_split_positions(4, 0, seed=0) == []
 
 
 def test_bench_smoke():

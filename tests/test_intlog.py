@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import digitpow as dp
-from digitpow.intlog import INT64_CAP, DominanceCaps
 
 
 @pytest.mark.parametrize(
@@ -97,14 +96,15 @@ def test_lower_bound_predicate_matches_powers(n, s):
 
 
 def test_digit_count_formula_examples():
-    assert dp.digit_count_formula_check(10, 4)
-    assert dp.digit_count_formula_check(0, 1)
-    assert dp.digit_count_formula_check(332, 100)
-    assert not dp.digit_count_formula_check(10, 3)
-    assert not dp.digit_count_formula_check(10, 5)
-    assert not dp.digit_count_formula_check(5, 0)
+    table = dp.FloorLog2Pow10Table()
+    assert dp.digit_count_formula_check(10, 4, table)
+    assert dp.digit_count_formula_check(0, 1, table)
+    assert dp.digit_count_formula_check(332, 100, table)
+    assert not dp.digit_count_formula_check(10, 3, table)
+    assert not dp.digit_count_formula_check(10, 5, table)
+    assert not dp.digit_count_formula_check(5, 0, table)
     with pytest.raises(ValueError):
-        dp.digit_count_formula_check(-1, 1)
+        dp.digit_count_formula_check(-1, 1, table)
 
 
 @given(st.integers(min_value=0, max_value=3000))
@@ -114,15 +114,3 @@ def test_digit_count_formula_matches_len(n):
     for dc in (true_dc - 1, true_dc, true_dc + 1):
         if dc >= 1:
             assert dp.digit_count_formula_check(n, dc, table) == (dc == true_dc)
-
-
-def test_dominance_caps_exact_prefix():
-    caps = DominanceCaps()
-    bound, four = caps.arrays(12, 30103)
-    assert bound[:6].tolist() == [0, 3, 13, 46, 156, 521]
-    assert four[:5].tolist() == [1, 4, 16, 64, 256]
-    # frontier beyond the position range auto-passes via the clamp
-    assert bound[11] in (701940, int(INT64_CAP)) or bound[11] > 30103
-    bound2, _ = caps.arrays(40, 30103)
-    assert bound2.size == 40
-    assert all(int(v) > 30103 for v in bound2[11:])
