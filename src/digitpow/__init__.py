@@ -16,12 +16,11 @@ from .bignum import (
 )
 from .checks import scan_splits
 from .intlog import (
-    BoundTable,
-    FloorLog2Pow10Table,
     bound_table,
     digit_count_formula_check,
     digit_sum_exceeds_log4,
     exact_floor_log2_pow10,
+    floor_log2_pow10,
 )
 from .oeis import BFileFormatError, CrossCheckReport, OeisSeries, cross_check, parse_bfile
 from .power import (
@@ -32,6 +31,6 @@ from .power import (
     validate_multiplier,
 )
 from .ratios import conjecture_constant, render_fraction
-from .sweep import SweepConfig, SweepSummary, VerificationRecord, run_bench, run_sweep
+from .sweep import SweepConfig, SweepSummary, VerificationRecord, run_sweep
 
 __version__ = "0.1.0"

@@ -13,11 +13,11 @@ from contextlib import contextmanager
 
 from .bignum import digit_scan, digit_sum
 from .checks import check_positions
-from .intlog import FloorLog2Pow10Table, bound_table
+from .intlog import BOUND_TABLE_MAX_K, bound_table, floor_log2_pow10
 from .oeis import BFileFormatError, cross_check, parse_bfile
 from .power import CheckpointError, PowerState
 from .ratios import conjecture_constant
-from .sweep import SweepConfig, run_bench, run_sweep
+from .sweep import SweepConfig, run_sweep
 
 
 def _log(msg: str) -> None:
@@ -92,7 +92,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     # the same scan and position checks as a sweep row
     scan = digit_scan(state.value)
     s, dc, m = scan.digit_sum, scan.digit_count, scan.positions.size
-    pc = check_positions(scan.positions, FloorLog2Pow10Table().as_array(dc))
+    pc = check_positions(scan.positions, floor_log2_pow10(dc))
     terms = list(zip(scan.digits.tolist(), scan.positions.tolist()))
     if args.format == "json":
         obj = {
@@ -115,9 +115,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    table = bound_table(args.k)
+    entries = bound_table(args.k)
     print("k,B_k,four_power,holds")
-    for k, b in enumerate(table.entries, start=1):
+    for k, b in enumerate(entries, start=1):
         cap = 4 ** (k - 1)
         print(f"{k},{b},{cap},{int(b < cap)}")
     return 0
@@ -148,9 +148,9 @@ def cmd_oeis(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    result = run_bench(args.max_n, args.multiplier)
-    print(result.describe())
-    return 0
+    summary, _ = run_sweep(SweepConfig(max_n=args.max_n, multiplier=args.multiplier))
+    print(summary.describe())
+    return 0 if summary.ok else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -194,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("bounds", help="print the iterated position bound table")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=int, help=f"rows to print, 1..{BOUND_TABLE_MAX_K}")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("oeis", help="cross-check digit sums against a b-file")
@@ -203,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multiplier", type=int, default=2)
     p.set_defaults(func=cmd_oeis)
 
-    p = sub.add_parser("bench", help="throughput of stepping and digit summing")
+    p = sub.add_parser("bench", help="time a verify sweep of n = 1..max-n, no output rows")
     p.add_argument("--max-n", type=int, default=10_000)
     p.add_argument("--multiplier", type=int, default=2)
     p.set_defaults(func=cmd_bench)

@@ -3,15 +3,35 @@
 floor(x * log2(10)) equals bit_length(10**x) - 1 exactly: 10**x is
 never a power of two for x >= 1, so its bit length decides every
 comparison against powers of two without rounding concerns.  The same
-identity powers the digit-count formula check and the bound recurrence
+quantity powers the digit-count formula check and the bound recurrence
 on nonzero-digit positions.  No floating point is used anywhere here.
+
+floor_log2_pow10 builds the values for x = 0..xmax in one numpy pass
+from two adjacent continued-fraction convergents P1/Q1 < log2 10 <
+P2/Q2.  For x >= 1, x*P1/Q1 < x*log2 10 < x*P2/Q2, so where
+x*P1 // Q1 == x*P2 // Q2 that common value is the floor; where they
+differ (at x = Q2, for one) the value comes from the bit length
+of 10**x.  The bracket itself is checked exactly, 2**P1 < 10**Q1 and
+2**P2 > 10**Q2, once per process.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+
+# Adjacent convergents of log2 10 = [3; 3, 9, 2, 2, 4, 6, 2, 1, 1, 3, 1, ...].
+# Measured builds, certification included: the convergent pair before,
+# 42039/12655, 70777/21306 takes 2.8 ms to x = 32707 (n = 1e5) but
+# 6.8 s to x = 333334 (n = 1e6), with 1 and 200 exact fallbacks;
+# this pair takes 20 ms and 0.26 s, with 0 and 7.
+_LOWER = (254370, 76573)
+_UPPER = (325147, 97879)
+
+# bound_table(16) would need 10**(B_15 + 1) with B_15 = 25731874; the
+# cost grows about 7x per k (K = 14 took 1.7 s, K = 15 10.7 s)
+BOUND_TABLE_MAX_K = 15
 
 
 def exact_floor_log2_pow10(x: int) -> int:
@@ -21,84 +41,44 @@ def exact_floor_log2_pow10(x: int) -> int:
     return (10**x).bit_length() - 1
 
 
-class FloorLog2Pow10Table:
-    """Cached floor(x * log2 10) for x = 0..horizon, extended on demand.
+@lru_cache(maxsize=None)
+def _certify(lower: tuple[int, int], upper: tuple[int, int]) -> None:
+    """Raise unless lower < log2 10 < upper, decided on exact powers."""
+    (p1, q1), (p2, q2) = lower, upper
+    if not (2**p1 < 10**q1 and 2**p2 > 10**q2):
+        raise RuntimeError(f"{p1}/{q1} and {p2}/{q2} do not bracket log2 10")
 
-    The cache is built by one running power of ten multiplied up
-    incrementally, so extending to horizon H costs O(H^2 / wordsize)
-    once and each lookup is O(1).  as_array() exposes the values for
-    vectorized position checks.
+
+def floor_log2_pow10(xmax: int) -> np.ndarray:
+    """floor(x * log2(10)) for x = 0..xmax as a fresh int64 array."""
+    if xmax < 0:
+        raise ValueError(f"xmax must be >= 0, got {xmax}")
+    (p1, q1), (p2, q2) = _LOWER, _UPPER
+    if xmax > np.iinfo(np.int64).max // max(p1, p2):
+        raise ValueError(f"xmax {xmax} would overflow int64 in x * {max(p1, p2)}")
+    _certify(_LOWER, _UPPER)
+    x = np.arange(xmax + 1, dtype=np.int64)
+    out = x * p1
+    out //= q1
+    x *= p2  # in place: two row-sized arrays live, not four
+    x //= q2
+    for i in np.flatnonzero(out != x).tolist():
+        out[i] = exact_floor_log2_pow10(i)
+    return out
+
+
+def bound_table(k_max: int) -> tuple[int, ...]:
+    """Iterate B_1 = 0, B_k = floor(log2(10) * (B_{k-1} + 1)) for k <= k_max.
+
+    Entries grow roughly 4x per step and the exact power of ten behind
+    each floor grows with them, so k_max is capped at BOUND_TABLE_MAX_K.
     """
-
-    def __init__(self) -> None:
-        self._pow = 1
-        self._size = 1
-        self._buf = np.zeros(1024, dtype=np.int64)
-
-    def ensure(self, xmax: int) -> None:
-        if xmax < self._size:
-            return
-        if xmax >= self._buf.size:
-            grown = np.zeros(max(self._buf.size * 2, xmax + 1), dtype=np.int64)
-            grown[: self._size] = self._buf[: self._size]
-            self._buf = grown
-        p = self._pow
-        for x in range(self._size, xmax + 1):
-            p *= 10
-            self._buf[x] = p.bit_length() - 1
-        self._pow = p
-        self._size = xmax + 1
-
-    def __getitem__(self, x: int) -> int:
-        if x < 0:
-            raise ValueError(f"x must be >= 0, got {x}")
-        self.ensure(x)
-        return int(self._buf[x])
-
-    def as_array(self, xmax: int) -> np.ndarray:
-        """Values for x = 0..xmax as an int64 array (a view; do not write)."""
-        self.ensure(xmax)
-        return self._buf[: xmax + 1]
-
-
-@dataclass(frozen=True)
-class BoundTable:
-    """Iterated position bounds B_1..B_K with B_1 = 0.
-
-    B_k caps the position of the k-th nonzero digit of a power of two;
-    each entry stays below 4**(k-1) and the sequence is strictly
-    increasing.
-    """
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        e = self.entries
-        if not e or e[0] != 0:
-            raise ValueError("bound table must start at 0")
-        for k in range(1, len(e)):
-            if e[k] <= e[k - 1]:
-                raise ValueError(f"bound table not increasing at k={k + 1}")
-        for k, v in enumerate(e, start=1):
-            if v >= 4 ** (k - 1):
-                raise ValueError(f"bound table entry B_{k}={v} >= 4^{k - 1}")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def bound_table(k_max: int) -> BoundTable:
-    """Iterate B_1 = 0, B_k = floor(log2(10) * (B_{k-1} + 1)).
-
-    Entries grow roughly 4x per step; k_max beyond ~14 gets expensive
-    because the exact power of ten behind each floor grows with it.
-    """
-    if k_max < 1:
-        raise ValueError(f"need k_max >= 1, got {k_max}")
+    if not 1 <= k_max <= BOUND_TABLE_MAX_K:
+        raise ValueError(f"need 1 <= k_max <= {BOUND_TABLE_MAX_K}, got {k_max}")
     entries = [0]
     for _ in range(k_max - 1):
         entries.append(exact_floor_log2_pow10(entries[-1] + 1))
-    return BoundTable(tuple(entries))
+    return tuple(entries)
 
 
 def digit_sum_exceeds_log4(n: int, s: int) -> bool:
@@ -108,16 +88,17 @@ def digit_sum_exceeds_log4(n: int, s: int) -> bool:
     return 2 * s >= n.bit_length()
 
 
-def digit_count_formula_check(n: int, dc: int, table: FloorLog2Pow10Table) -> bool:
+def digit_count_formula_check(n: int, dc: int, gap: np.ndarray) -> bool:
     """Exact check that 2**n has dc digits: 10**(dc-1) <= 2**n < 10**dc.
 
-    Both sides reduce to bit-length comparisons because 10**x is never a
-    power of two; equivalent to dc == floor(n * log10 2) + 1.
+    gap is floor_log2_pow10(xmax) for some xmax >= dc.  Both sides
+    reduce to bit-length comparisons because 10**x is never a power of
+    two; equivalent to dc == floor(n * log10 2) + 1.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if dc < 1:
         return False
-    if dc > 1 and n < table[dc - 1] + 1:
+    if dc > 1 and n < int(gap[dc - 1]) + 1:
         return False
-    return n <= table[dc]
+    return n <= int(gap[dc])

@@ -34,13 +34,16 @@ from typing import IO, Callable
 
 from .bignum import digit_scan, digit_sum
 from .checks import check_positions, scan_splits
-from .intlog import FloorLog2Pow10Table, digit_count_formula_check, digit_sum_exceeds_log4
+from .intlog import digit_count_formula_check, digit_sum_exceeds_log4, floor_log2_pow10
 from .power import PowerState, load_checkpoint, save_checkpoint, validate_multiplier
 from .ratios import render_fraction
 
 CSV_HEADER = "n,s,digit_count,ratio,running_mean,theorem_ok,lemma2_ok,gap_ok,fourpow_ok"
 RATIO_PLACES = 10
 MAX_LOGGED_FAILURES = 20
+# largest floor(x * log2 10) array built up front (32 MiB, n up to about
+# 1.26e7); a sweep that gets past it rebuilds at twice its digit count
+FLOOR_TABLE_CAP = 2**22
 
 CHECK_NAMES = (
     "theorem_ok",
@@ -115,7 +118,12 @@ class SweepSummary:
 
 
 class _RatioWindow:
-    """Trailing-window mean over the emitted ratio stream, exact."""
+    """Exact mean of s/n over the last `window` rows pushed.
+
+    The sweep pushes every n from max(1, lo - window + 1) on, lo being
+    the first row it emits, so the mean at row n covers
+    max(1, n - window + 1)..n whatever the emit range and start.
+    """
 
     def __init__(self, window: int):
         if window < 1:
@@ -202,13 +210,14 @@ def _initial_state(cfg: SweepConfig) -> PowerState:
     return PowerState.start(multiplier)
 
 
-def _warm_window(state: PowerState, window: _RatioWindow) -> None:
-    """Refill the trailing window after a resume by stepping back exactly.
+def _warm_window(state: PowerState, window: _RatioWindow, lo: int) -> None:
+    """Push the rows up to state.n that row lo's window covers, stepping back exactly.
 
-    Makes resumed runs emit the same running_mean column as uninterrupted
-    ones for any window size.
+    lo is the first row the sweep emits, lo > state.n.  Makes resumed
+    runs emit the same running_mean column as uninterrupted ones for any
+    window size.
     """
-    need = min(window.window - 1, state.n)
+    need = min(state.n, state.n - lo + window.window)
     if need <= 0:
         return
     back = state.clone()
@@ -239,10 +248,12 @@ def run_sweep(
     writer = _make_writer(out, fmt)
     is_two = state.multiplier == 2
 
-    table = FloorLog2Pow10Table()
+    # floor(x * log2 10) up to index digit_count: 2**n has at most
+    # n // 3 + 1 digits, since log10 2 < 1/3
+    gap = floor_log2_pow10(min(cfg.max_n // 3, FLOOR_TABLE_CAP) + 1) if is_two else None
     window = _RatioWindow(cfg.window)
-    if state.n > 0 and emit_lo <= state.n + 1:
-        _warm_window(state, window)
+    if writer is not None:
+        _warm_window(state, window, max(emit_lo, state.n + 1))
 
     summary = SweepSummary(state.multiplier, state.n, cfg.max_n)
     records: list[VerificationRecord] = []
@@ -267,6 +278,8 @@ def run_sweep(
         state.step()
         residue9 = residue9 * state.multiplier % 9
         if n < emit_lo or n > emit_hi:
+            if writer is not None and emit_lo - cfg.window < n < emit_lo:
+                window.push(n, digit_sum(state.value))  # in row emit_lo's window
             continue
         scan = digit_scan(state.value)
         s, dc, m = scan.digit_sum, scan.digit_count, scan.positions.size
@@ -275,10 +288,11 @@ def run_sweep(
         theorem_ok = lemma2_ok = gap_ok = fourpow_ok = ekbound_ok = dcf_ok = None
         checked = 0
         if is_two:
-            table.ensure(dc + 1)
+            if dc >= gap.size:  # past the cap, or a corrupt value
+                gap = floor_log2_pow10(2 * dc)
             theorem_ok = digit_sum_exceeds_log4(n, s)
-            dcf_ok = digit_count_formula_check(n, dc, table)
-            pc = check_positions(scan.positions, table.as_array(dc))
+            dcf_ok = digit_count_formula_check(n, dc, gap)
+            pc = check_positions(scan.positions, gap)
             gap_ok, fourpow_ok, ekbound_ok = pc.gap_ok, pc.fourpow_ok, pc.bound_ok
             if cfg.split_checks != "off":
                 checked, failed_ks = scan_splits(state, min(n, dc - 1))
@@ -313,44 +327,3 @@ def run_sweep(
         save_checkpoint(state, ckpt_dir / f"ckpt-n{state.n:012d}.txt")
     summary.elapsed = time.perf_counter() - t0
     return summary, records
-
-
-@dataclass
-class BenchResult:
-    steps: int
-    step_seconds: float
-    digits_summed: int
-    digit_sum_seconds: float
-
-    def describe(self) -> str:
-        step_rate = self.steps / self.step_seconds if self.step_seconds else 0.0
-        dig_rate = (
-            self.digits_summed / self.digit_sum_seconds if self.digit_sum_seconds else 0.0
-        )
-        return (
-            f"doublings: {self.steps} in {self.step_seconds:.3f}s "
-            f"({step_rate:.0f}/s)\n"
-            f"digit sums: {self.digits_summed} digits in "
-            f"{self.digit_sum_seconds:.3f}s ({dig_rate / 1e6:.1f} Mdigits/s)"
-        )
-
-
-def run_bench(max_n: int, multiplier: int = 2) -> BenchResult:
-    """Time the two sweep primitives: stepping and digit summing."""
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
-    state = PowerState.start(multiplier)
-    step_s = 0.0
-    sum_s = 0.0
-    digits = 0
-    for _ in range(max_n):
-        t0 = time.perf_counter()
-        state.step()
-        t1 = time.perf_counter()
-        s = digit_sum(state.value)
-        t2 = time.perf_counter()
-        step_s += t1 - t0
-        sum_s += t2 - t1
-        digits += state.value.limbs.size * 9
-        assert s >= 0
-    return BenchResult(max_n, step_s, digits, sum_s)

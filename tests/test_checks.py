@@ -26,7 +26,7 @@ def power_state(n: int, multiplier: int = 2) -> dp.PowerState:
 def positions(v: int):
     """check_positions on v, set up as a sweep row sets it up."""
     scan = dp.digit_scan(dp.from_decimal_string(str(v)))
-    return check_positions(scan.positions, dp.FloorLog2Pow10Table().as_array(scan.digit_count))
+    return check_positions(scan.positions, dp.floor_log2_pow10(scan.digit_count))
 
 
 def test_decompose_examples():

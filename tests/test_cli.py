@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,50 @@ def test_sweep_resume_detects_tampered_chain(tmp_path, monkeypatch):
     assert any(rec.lemma2_ok is False for rec in records)
 
 
+@pytest.mark.parametrize("n,max_n", [(0, 1), (10, 11)])
+def test_sweep_resume_with_an_extra_digit(tmp_path, monkeypatch, n, max_n):
+    # 10 * 2**n: one digit more than the floor table sized from max_n covers
+    resume_from(monkeypatch, dp.PowerState(n, dp.from_decimal_string(str(10 * 2**n)), 2))
+    summary, records = dp.run_sweep(
+        dp.SweepConfig(max_n=max_n, start_checkpoint=tmp_path / "unread.txt"), collect=True
+    )
+    assert records[-1].digit_count > max_n // 3 + 1
+    assert not summary.ok
+    assert all(rec.digitcount_ok is False for rec in records)
+
+
+def test_sweep_floor_table_grows_past_cap(monkeypatch):
+    _, uncapped = run_csv(dp.SweepConfig(max_n=200, window=3))
+    monkeypatch.setattr(digitpow.sweep, "FLOOR_TABLE_CAP", 1)
+    summary, capped = run_csv(dp.SweepConfig(max_n=200, window=3))
+    assert summary.ok and capped == uncapped
+
+
+@pytest.mark.parametrize("window", [1, 5, 100])
+def test_stats_running_mean_fresh_matches_resumed(tmp_path, window):
+    # running_mean at n averages s/n over max(1, n - window + 1)..n,
+    # whether the run starts at n = 0 or resumes below or inside the band
+    expected = [
+        dp.render_fraction(
+            sum(Fraction(oracle_digit_sum(k), k) for k in range(max(1, n - window + 1), n + 1))
+            / (n - max(1, n - window + 1) + 1),
+            10,
+        )
+        for n in range(50, 54)
+    ]
+    starts = [None]
+    for n in (20, 49):
+        starts.append(dp.save_checkpoint(
+            dp.PowerState(n, dp.from_decimal_string(str(2**n)), 2), tmp_path / f"ck{n}.txt"
+        ))
+    for ckpt in starts:
+        _, lines = run_csv(dp.SweepConfig(
+            max_n=53, window=window, split_checks="off", start_checkpoint=ckpt,
+            emit_range=(50, 53),
+        ))
+        assert [line.split(",")[4] for line in lines[1:]] == expected, ckpt
+
+
 def test_sweep_checkpoint_cadence(tmp_path):
     ckdir = tmp_path / "ck"
     dp.run_sweep(dp.SweepConfig(max_n=25, checkpoint_dir=ckdir, checkpoint_every=10))
@@ -182,13 +227,6 @@ def test_sweep_checkpoint_cadence(tmp_path):
         "ckpt-n000000000020.txt",
         "ckpt-n000000000025.txt",
     ]
-
-
-def test_bench_smoke():
-    result = dp.run_bench(500)
-    assert result.steps == 500
-    assert result.digits_summed > 0
-    assert "doublings" in result.describe()
 
 
 # --- command line ---
@@ -205,6 +243,13 @@ def test_cli_bounds(capsys):
 def test_cli_bounds_k1(capsys):
     assert main(["bounds", "1"]) == 0
     assert capsys.readouterr().out.splitlines()[1] == "1,0,1,1"
+
+
+def test_cli_bounds_rejects_large_k(capsys):
+    t0 = time.perf_counter()
+    assert main(["bounds", "40"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "k_max <= 15" in capsys.readouterr().err
 
 
 def test_cli_bounds_k2(capsys):
@@ -385,7 +430,7 @@ def test_cli_oeis_missing_file(capsys):
 def test_cli_bench(capsys):
     assert main(["bench", "--max-n", "300"]) == 0
     out = capsys.readouterr().out
-    assert "doublings: 300" in out and "digit sums:" in out
+    assert out.startswith("rows 300 (n=1..300, multiplier=2) ok in ")
 
 
 def test_cli_verify_json(tmp_path):
