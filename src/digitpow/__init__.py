@@ -7,6 +7,7 @@ from .bignum import (
     digit_count,
     digit_scan,
     digit_sum,
+    digit_tally,
     double_in_place,
     from_decimal_string,
     from_small,

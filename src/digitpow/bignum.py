@@ -12,7 +12,6 @@ the empty limb sequence.  Every constructor produces canonical values.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,10 +20,18 @@ LIMB_DIGITS = 9
 
 _LIMB_DTYPE = np.int64
 _EMPTY = np.empty(0, dtype=_LIMB_DTYPE)
-# digit sums of 0..999; a limb is summed as three 3-digit chunks
-_DIGIT_SUM_1000 = np.array(
-    [i // 100 + i // 10 % 10 + i % 10 for i in range(1000)], dtype=np.int64
+# per 3-digit chunk c = 0..999: its digit sum in the low 32 bits and its
+# nonzero-digit count above them; a limb is read as three chunks
+_CHUNK_TALLY = np.array(
+    [sum(map(int, str(c))) + (sum(d != "0" for d in str(c)) << 32) for c in range(1000)],
+    dtype=np.int64,
 )
+# a packed sum stays exact while the digit sum, at most 81 per limb,
+# stays below 2**32: up to about 4.77e8 digits (the nonzero count, at
+# most 9 per limb, cannot overflow first)
+_TALLY_MAX_LIMBS = (2**32 - 1) // 81
+# 10**1..10**8; a nonzero limb has as many digits as entries <= it, plus one
+_POW10 = 10 ** np.arange(1, LIMB_DIGITS, dtype=np.int64)
 # big-endian place values of one limb, for string parsing
 _PARSE_WEIGHTS = 10 ** np.arange(LIMB_DIGITS - 1, -1, -1, dtype=np.int64)
 
@@ -63,15 +70,6 @@ class DecimalNat:
         return f"DecimalNat(<{digit_count(self)} digits>)"
 
     __hash__ = None  # mutable through double_in_place
-
-
-class DigitScan(NamedTuple):
-    """One pass over the digits: nonzero positions and aggregates."""
-
-    positions: np.ndarray  # int64, positions of nonzero digits, ascending
-    digits: np.ndarray  # int8, digit values aligned with positions
-    digit_sum: int
-    digit_count: int  # 0 for zero
 
 
 def zero() -> DecimalNat:
@@ -136,24 +134,62 @@ def to_decimal_string(x: DecimalNat) -> str:
     return b.lstrip(b"0").decode("ascii")
 
 
-def digit_scan(x: DecimalNat) -> DigitScan:
-    """Scan all digits once; positions/digits cover the nonzero ones."""
-    l = x.limbs
-    if l.size == 0:
-        return DigitScan(_EMPTY, np.empty(0, dtype=np.int8), 0, 0)
-    flat = _digit_planes(l).ravel()
+def digit_scan(x: DecimalNat) -> list[tuple[int, int]]:
+    """Nonzero digits as (digit, position) pairs, position ascending."""
+    flat = _digit_planes(x.limbs).ravel()
     pos = np.flatnonzero(flat)
-    digits = flat[pos]
-    return DigitScan(pos, digits, int(digits.sum(dtype=np.int64)), int(pos[-1]) + 1)
+    return list(zip(flat[pos].tolist(), pos.tolist()))
+
+
+def digit_tally(x: DecimalNat) -> tuple[int, int]:
+    """(digit sum, number of nonzero digits), read per 3-digit chunk."""
+    l = x.limbs
+    if l.size > _TALLY_MAX_LIMBS:
+        raise ValueError(f"{l.size} limbs overflow the packed digit tally")
+    # divide and subtract: int64 % costs about three times int64 //
+    hi = l // 1000000
+    low = l - hi * 1000000
+    mid = low // 1000
+    low -= mid * 1000
+    t = _CHUNK_TALLY
+    acc = int(t[low].sum() + t[mid].sum() + t[hi].sum())
+    return acc & 0xFFFFFFFF, acc >> 32
 
 
 def digit_sum(x: DecimalNat) -> int:
-    l = x.limbs
-    if l.size == 0:
-        return 0
-    t = _DIGIT_SUM_1000
-    s = t[l % 1000].sum() + t[l // 1000 % 1000].sum() + t[l // 1000000].sum()
-    return int(s)
+    return digit_tally(x)[0]
+
+
+def low_digit_positions(limbs: np.ndarray, nz: np.ndarray, count: int) -> list[int]:
+    """Positions of the lowest nonzero digits, ascending.
+
+    nz lists nonzero limbs, ascending, from the lowest one on; they are
+    expanded whole, one at a time, until at least count positions are in
+    hand or nz runs out.  Each holds a nonzero digit, so nz[:count] is
+    enough.
+    """
+    out: list[int] = []
+    idx = nz[:count]
+    for i, v in zip(idx.tolist(), limbs[idx].tolist()):
+        e = LIMB_DIGITS * i
+        while v:
+            v, d = divmod(v, 10)
+            if d:
+                out.append(e)
+            e += 1
+        if len(out) >= count:
+            break
+    return out
+
+
+def digit_span(limbs: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the lowest and the highest nonzero digit of each limb
+    limbs[idx]; every indexed limb must be nonzero."""
+    v = limbs[idx]
+    base = LIMB_DIGITS * idx
+    low = base + (v[:, None] % _POW10 == 0).sum(axis=1)
+    high = base + np.searchsorted(_POW10, v, side="right")
+    return low, high
 
 
 def digit_count(x: DecimalNat) -> int:

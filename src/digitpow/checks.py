@@ -13,6 +13,25 @@ Two families of checks run per exponent:
 Both are checked in full for every exponent, in exact integer
 arithmetic.  The tests compare both against direct reference routes on
 Python ints (tests/oracles.py).
+
+The position checks read the value's base-10**9 limbs and expand the
+digits of only a few of them, without losing exactness:
+
+* Consecutive-position bound.  With gap[x] = floor(x * log2(10)),
+  gap[p + 1] >= p + 17 for every p >= 6: the integer gap[p + 1] - p
+  exceeds (log2(10) - 1) * (p + 1) >= 16.25 (it is exactly 17 at p = 6,
+  and 14 at p = 5).  Two consecutive nonzero digits that span no all-zero
+  limb sit in the same limb or in adjacent ones, so they are at most 17
+  apart, and the pair can fail only if its lower digit is below 6, in
+  limb 0.  So the pairs whose lower digit lies in limb 0, plus one pair
+  across each maximal run of zero limbs (the top nonzero digit below
+  the run and the bottom nonzero digit above it), decide the check for
+  every pair.
+* The iterated bounds and e_k < 4**(k-1).  B_k >= 3**(k-1), and B_k <
+  4**(k-1) because log2(10) < 4; once B_k passes the top position both
+  hold for every later digit.  So only e_1..e_K count, K about
+  log3 of the digit count, and every nonzero limb holds at least one
+  nonzero digit: the lowest K + 1 nonzero limbs hold them.
 """
 
 from __future__ import annotations
@@ -21,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bignum import mod_pow2, trailing_zero_digits
+from .bignum import LIMB_DIGITS, digit_span, low_digit_positions, mod_pow2, trailing_zero_digits
 from .power import PowerState
 
 
@@ -31,34 +50,38 @@ class PositionChecks(NamedTuple):
     bound_ok: bool  # e_k <= B_k against the iterated bound table
 
 
-def check_positions(pos: np.ndarray, gap_values: np.ndarray) -> PositionChecks:
-    """Position checks on one value's nonzero digits.
+def check_positions(limbs: np.ndarray, gap_values: np.ndarray) -> PositionChecks:
+    """Position checks on the nonzero digits of one value.
 
-    pos holds the nonzero-digit positions ascending; gap_values[x] is
-    floor(x * log2(10)) and must cover index pos[-1] + 1.  The bounds
-    e_k <= B_k and e_k < 4**(k-1) grow about 4x per k, so only the first
-    few digits can break them: once a bound passes pos[-1], every later
-    position is within it.
+    limbs are the value's canonical base-10**9 limbs, lowest first;
+    gap_values[x] is floor(x * log2(10)) and must cover index
+    digit_count.  See the module docstring for why the digits of a few
+    limbs decide every check.
     """
-    m = pos.size
-    if m == 0:
+    count = np.count_nonzero(limbs)
+    if count == 0:
         raise ValueError("no nonzero digits")
-    # index the shifted view rather than build pos + 1: one m-sized
-    # temporary less per row; freed at the top of the heap, such
-    # temporaries made glibc trim and regrow it on every row (about 57
-    # page faults per row at n = 80000)
-    gap_ok = bool(np.all(pos[1:] <= gap_values[1:][pos[:-1]]))
-    last = int(pos[-1])
-    bound_ok = True
-    k, b = 0, 0  # B_1 = 0, B_k = gap_values[B_{k-1} + 1]
-    while bound_ok and k < m and b <= last:
-        bound_ok = int(pos[k]) <= b
-        k, b = k + 1, int(gap_values[b + 1])
-    fourpow_ok = True
-    k, cap = 0, 1  # at k = 0, pos[0] < 4**0 is e_1 = 0
-    while fourpow_ok and k < m and cap <= last:
-        fourpow_ok = int(pos[k]) < cap
-        k, cap = k + 1, 4 * cap
+    last = LIMB_DIGITS * (limbs.size - 1) + len(str(int(limbs[-1]))) - 1
+    bounds = [0]  # B_1 = 0, B_k = gap_values[B_{k-1} + 1], to the first past last
+    while bounds[-1] <= last:
+        bounds.append(int(gap_values[bounds[-1] + 1]))
+    # the walks read e_k for k <= len(bounds); limb 0 holds at most nine
+    # digits, so the pairs whose lower digit lies there are among the
+    # first nine pairs
+    need = max(len(bounds), LIMB_DIGITS + 1)
+    if count < limbs.size:
+        nz = np.flatnonzero(limbs)
+    else:  # no zero limb
+        nz = np.arange(min(need, limbs.size))
+    low = low_digit_positions(limbs, nz, need)
+    bound_ok = all(e <= b for e, b in zip(low, bounds))
+    fourpow_ok = all(e < 4**k for k, e in zip(range(len(bounds)), low))
+    gap_ok = all(b <= gap_values[a + 1] for a, b in zip(low, low[1 : LIMB_DIGITS + 1]))
+    if gap_ok and count < limbs.size - nz[0]:  # a zero limb between nonzero ones
+        jump = np.flatnonzero(np.diff(nz) > 1)
+        _, below = digit_span(limbs, nz[jump])
+        above, _ = digit_span(limbs, nz[jump + 1])
+        gap_ok = bool(np.all(above <= gap_values[below + 1]))
     return PositionChecks(gap_ok, fourpow_ok, bound_ok)
 
 

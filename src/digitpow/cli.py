@@ -11,7 +11,7 @@ import json
 import sys
 from contextlib import contextmanager
 
-from .bignum import digit_scan, digit_sum
+from .bignum import digit_count, digit_scan, digit_sum, digit_tally
 from .checks import check_positions
 from .intlog import BOUND_TABLE_MAX_K, bound_table, floor_log2_pow10
 from .oeis import BFileFormatError, cross_check, parse_bfile
@@ -89,11 +89,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     state = PowerState.start(args.multiplier)
     for _ in range(args.n):
         state.step()
-    # the same scan and position checks as a sweep row
-    scan = digit_scan(state.value)
-    s, dc, m = scan.digit_sum, scan.digit_count, scan.positions.size
-    pc = check_positions(scan.positions, floor_log2_pow10(dc))
-    terms = list(zip(scan.digits.tolist(), scan.positions.tolist()))
+    # the same tally and position checks as a sweep row
+    s, m = digit_tally(state.value)
+    dc = digit_count(state.value)
+    pc = check_positions(state.value.limbs, floor_log2_pow10(dc))
+    terms = digit_scan(state.value)
     if args.format == "json":
         obj = {
             "n": args.n,

@@ -32,7 +32,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import IO, Callable
 
-from .bignum import digit_scan, digit_sum
+from .bignum import digit_count, digit_sum, digit_tally
 from .checks import check_positions, scan_splits
 from .intlog import digit_count_formula_check, digit_sum_exceeds_log4, floor_log2_pow10
 from .power import PowerState, load_checkpoint, save_checkpoint, validate_multiplier
@@ -281,8 +281,8 @@ def run_sweep(
             if writer is not None and emit_lo - cfg.window < n < emit_lo:
                 window.push(n, digit_sum(state.value))  # in row emit_lo's window
             continue
-        scan = digit_scan(state.value)
-        s, dc, m = scan.digit_sum, scan.digit_count, scan.positions.size
+        s, m = digit_tally(state.value)
+        dc = digit_count(state.value)
         mod9_ok = s % 9 == residue9
 
         theorem_ok = lemma2_ok = gap_ok = fourpow_ok = ekbound_ok = dcf_ok = None
@@ -292,7 +292,7 @@ def run_sweep(
                 gap = floor_log2_pow10(2 * dc)
             theorem_ok = digit_sum_exceeds_log4(n, s)
             dcf_ok = digit_count_formula_check(n, dc, gap)
-            pc = check_positions(scan.positions, gap)
+            pc = check_positions(state.value.limbs, gap)
             gap_ok, fourpow_ok, ekbound_ok = pc.gap_ok, pc.fourpow_ok, pc.bound_ok
             if cfg.split_checks != "off":
                 checked, failed_ks = scan_splits(state, min(n, dc - 1))

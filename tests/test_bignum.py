@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import digitpow as dp
+from digitpow import bignum
 from digitpow.bignum import _pow5, div_small, mod_pow2, to_int, trailing_zero_digits
 from oracles import is_canonical, oracle_digit_sum, school_mul_small, verify_split
 
@@ -129,13 +130,22 @@ def test_parse_errors(bad):
 
 
 def test_digit_scan():
-    scan = dp.digit_scan(dp.from_small(1048576))
-    assert scan.positions.tolist() == [0, 1, 2, 3, 4, 6]
-    assert scan.digits.tolist() == [6, 7, 5, 8, 4, 1]
-    assert scan.digit_sum == 31
-    assert scan.digit_count == 7
-    empty = dp.digit_scan(dp.zero())
-    assert empty.digit_count == 0 and empty.positions.size == 0
+    x = dp.from_small(1048576)
+    assert dp.digit_scan(x) == [(6, 0), (7, 1), (5, 2), (8, 3), (4, 4), (1, 6)]
+    assert dp.digit_tally(x) == (31, 6)
+    assert dp.digit_count(x) == 7
+    assert dp.digit_scan(dp.zero()) == []
+    assert dp.digit_tally(dp.zero()) == (0, 0)
+
+
+def test_digit_tally_limb_cap(monkeypatch):
+    # the packed sum is exact up to _TALLY_MAX_LIMBS limbs and refused past it
+    assert 81 * bignum._TALLY_MAX_LIMBS < 2**32 <= 81 * (bignum._TALLY_MAX_LIMBS + 1)
+    x = dp.from_small(999_999_999 * (10**9 + 1))
+    assert dp.digit_tally(x) == (162, 18)
+    monkeypatch.setattr(bignum, "_TALLY_MAX_LIMBS", 1)
+    with pytest.raises(ValueError):
+        dp.digit_tally(x)
 
 
 @given(naturals)

@@ -25,8 +25,8 @@ def power_state(n: int, multiplier: int = 2) -> dp.PowerState:
 
 def positions(v: int):
     """check_positions on v, set up as a sweep row sets it up."""
-    scan = dp.digit_scan(dp.from_decimal_string(str(v)))
-    return check_positions(scan.positions, dp.floor_log2_pow10(scan.digit_count))
+    x = dp.from_decimal_string(str(v))
+    return check_positions(x.limbs, dp.floor_log2_pow10(dp.digit_count(x)))
 
 
 def test_decompose_examples():
@@ -35,23 +35,20 @@ def test_decompose_examples():
     assert decompose(10**5) == [(1, 5)]
     with pytest.raises(ValueError):
         decompose(0)
-    scan = dp.digit_scan(dp.from_small(1024))
-    assert list(zip(scan.digits.tolist(), scan.positions.tolist())) == decompose(1024)
+    assert dp.digit_scan(dp.from_small(1024)) == decompose(1024)
 
 
 @given(positives)
 def test_decomposition_invariants(v):
     x = dp.from_decimal_string(str(v))
-    scan = dp.digit_scan(x)
     terms = decompose(v)
-    assert list(zip(scan.digits.tolist(), scan.positions.tolist())) == terms
-    assert scan.digit_sum == sum(d for d, _ in terms) == dp.digit_sum(x)
-    assert scan.digit_count == len(str(v))
-    m = scan.positions.size
-    assert m <= scan.digit_sum
-    assert m <= scan.digit_count
-    es = scan.positions.tolist()
-    assert all(es[i] < es[i + 1] for i in range(len(es) - 1))
+    assert dp.digit_scan(x) == terms
+    s, m = dp.digit_tally(x)
+    assert s == sum(d for d, _ in terms) == dp.digit_sum(x)
+    assert m == len(terms)
+    assert dp.digit_count(x) == len(str(v))
+    assert m <= s
+    assert m <= dp.digit_count(x)
 
 
 def test_gap_check_examples():
@@ -183,6 +180,24 @@ def test_vector_checks_catch_synthetic_failures():
     assert not r.bound_ok  # 9 > B_2 = 3
 
 
+def with_zero_runs(ds, runs):
+    """The digits ds (position = index) with each (start, length) run zeroed."""
+    ds = list(ds)
+    for start, length in runs:
+        ds[start : start + length] = [0] * len(ds[start : start + length])
+    return int("".join(map(str, reversed(ds))))
+
+
+def one_digit_per_limb(steps, at_zero):
+    """One nonzero digit per limb: each step is (limbs up, offset, digit);
+    the first digit sits at position 0 when at_zero."""
+    v, limb = 0, 0
+    for i, (up, offset, d) in enumerate(steps):
+        limb += up if i else 0
+        v += d * 10 ** (9 * limb + (0 if at_zero and i == 0 else offset))
+    return v
+
+
 # B_1..B_7 and 4**0..4**6: the bounds that bind on values up to ~4100 digits
 BOUNDS = (0, 3, 13, 46, 156, 521, 1734)
 EDGES = sorted({max(0, c + d) for c in BOUNDS + tuple(4**i for i in range(7))
@@ -201,16 +216,55 @@ position_values = st.one_of(
         st.lists(st.integers(1, 9), min_size=32, max_size=80),
         st.sampled_from((0, 0, 1, 3)),
     ),
+    # dense digits with zero runs of 1-40 digits: some start right above
+    # positions 0-8, others anywhere, so some cross limb boundaries and
+    # some cover whole limbs
+    st.builds(
+        with_zero_runs,
+        st.lists(st.integers(1, 9), min_size=10, max_size=150),
+        st.lists(st.tuples(st.one_of(st.integers(1, 9), st.integers(1, 150)),
+                           st.integers(1, 40)), min_size=1, max_size=4),
+    ),
+    # one long run just above the tenth nonzero digit: past the first
+    # nine pairs, a pair breaks the gap bound only across whole zero limbs
+    st.builds(
+        lambda ds, start, length: with_zero_runs(ds, [(start, length)]),
+        st.lists(st.integers(1, 9), min_size=60, max_size=80),
+        st.integers(10, 17),
+        st.integers(20, 40),
+    ),
+    # multiples of 10**9: limb 0 is zero
+    st.builds(lambda a, j: a * 10 ** (9 * j), positives, st.integers(1, 3)),
+    # sparse: the lowest nonzero digits each in a limb of their own
+    st.builds(
+        one_digit_per_limb,
+        st.lists(st.tuples(st.integers(1, 4), st.integers(0, 8), st.integers(1, 9)),
+                 min_size=2, max_size=14),
+        st.booleans(),
+    ),
 )
 
 
-@settings(deadline=None)
+@settings(deadline=None, max_examples=500)
 @given(position_values)
 def test_position_checks_match_oracles(v):
+    x = dp.from_decimal_string(str(v))
+    digits = str(v)
+    assert dp.digit_tally(x) == (sum(map(int, digits)), len(digits) - digits.count("0"))
+    assert dp.digit_count(x) == len(digits)
     result = positions(v)
     assert result.gap_ok == all(gap_inequality_check(v))
     assert result.fourpow_ok == four_power_bound_check(v)
     assert result.bound_ok == iterated_bound_check(v)
+
+
+def test_gap_check_across_zero_limbs():
+    # digits at 0..10, then limbs 2 and 3 all zero: the pair (10, e) lies
+    # past the first nine pairs and spans the zero limbs; gap[11] = 36
+    for e, ok in ((36, True), (37, False), (41, False)):
+        v = int("1" * 11) + 10**e
+        assert all(gap_inequality_check(v)) is ok
+        assert positions(v).gap_ok is ok
 
 
 def test_position_checks_at_the_bounds():
@@ -229,5 +283,5 @@ def test_decompose_matches_oracle_digit_sums():
     state = dp.PowerState.start()
     for n in range(1, 120):
         state.step()
-        assert dp.digit_scan(state.value).digit_sum == oracle_digit_sum(n)
+        assert dp.digit_tally(state.value)[0] == oracle_digit_sum(n)
         assert sum(d for d, _ in decompose(2**n)) == oracle_digit_sum(n)

@@ -39,6 +39,19 @@ def test_sweep_small_records():
     assert [r.s for r in records] == [oracle_digit_sum(n) for n in range(1, 11)]
 
 
+def test_sweep_rows_expand_no_digit_array(monkeypatch):
+    # a row reads its digits from limb tables; the per-digit expansion
+    # stays with decompose and the decimal text
+    def refuse(limbs):
+        raise AssertionError("a sweep row expanded every digit")
+
+    monkeypatch.setattr(dp.bignum, "_digit_planes", refuse)
+    summary, records = dp.run_sweep(dp.SweepConfig(max_n=300), collect=True)
+    assert summary.ok and summary.rows == 300
+    assert [r.s for r in records] == [oracle_digit_sum(n) for n in range(1, 301)]
+    assert [r.m for r in records] == [sum(c != "0" for c in str(2**n)) for n in range(1, 301)]
+
+
 def test_sweep_csv_shape():
     summary, lines = run_csv(dp.SweepConfig(max_n=10))
     assert summary.ok
