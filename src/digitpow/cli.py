@@ -160,19 +160,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, window: int) -> None:
         p.add_argument("--multiplier", type=int, default=None,
                        help="base of the power chain (2..99, not a power of ten; "
                             "default 2 or the resumed checkpoint's base)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--window", type=int, default=None,
-                       help="trailing window for running_mean")
+        p.add_argument("--window", type=int, default=window,
+                       help="trailing window for running_mean (default %(default)s)")
         p.add_argument("--start-checkpoint", default=None,
                        help="resume from this checkpoint file")
 
     p = sub.add_parser("verify", help="sweep n and verify every claim")
-    add_common(p)
+    add_common(p, window=1)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--checkpoint-dir", default=None)
     p.add_argument("--checkpoint-every", type=int, default=100_000,
@@ -182,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("stats", help="ratio tracking sweep (split checks off)")
-    add_common(p)
+    add_common(p, window=100)
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--range", default=None, help="emit rows for n in LO:HI")
     p.set_defaults(func=cmd_stats)
@@ -214,8 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "window", None) is None and hasattr(args, "window"):
-        args.window = 100 if args.command == "stats" else 1
     try:
         return args.func(args)
     except (BFileFormatError, CheckpointError, ValueError, OSError) as exc:

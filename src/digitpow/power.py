@@ -96,13 +96,6 @@ class PowerState:
         self.value = q
         self.n -= 1
 
-    def clone(self) -> "PowerState":
-        return PowerState(self.n, self.value.copy(), self.multiplier)
-
-    def residue_mod9(self) -> int:
-        """multiplier**n mod 9 computed without touching the limbs."""
-        return pow(self.multiplier, self.n, 9)
-
 
 def _payload_digest(multiplier: int, n: int, value_str: str) -> str:
     payload = f"multiplier={multiplier}\nn={n}\n{value_str}\n"
@@ -179,7 +172,11 @@ def load_checkpoint(path: str | Path) -> PowerState:
     if to_decimal_string(value) != value_str:
         raise CheckpointError(f"value does not round-trip in {path}")
     # exact: a value with a valid digest but not equal to multiplier**n
-    # (say, two digits swapped) must not seed a sweep
-    if to_int(value) != pow(multiplier, n):
+    # (say, two digits swapped) must not seed a sweep.  a**n has
+    # floor(n*log2 a) + 1 bits, so any other length is rejected before
+    # pow builds a**n, which a forged n could make arbitrarily large
+    x = to_int(value)
+    bits = multiplier.bit_length()
+    if not n * (bits - 1) < x.bit_length() <= max(1, n * bits) or x != pow(multiplier, n):
         raise CheckpointError(f"value is not {multiplier}**{n} in {path}")
     return PowerState(n, value, multiplier)

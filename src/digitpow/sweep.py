@@ -17,6 +17,14 @@ when k exceeds the number of trailing zero digits of x; and a positive
 multiple of 2**k is at least 2**k.  One x mod 2**K, K = digit_count-1,
 converted straight from the limbs, decides every k.
 
+The sweep is one forward walk of the chain.  With an output stream,
+the start state, fresh or loaded from a checkpoint, first steps back
+exactly and in place to just below the first n that the first emitted
+row's running_mean window covers; the walk then pushes the rows below
+the band into the window and checks and emits the rows in it.  So a
+resumed run writes the same bytes as an uninterrupted one, for any
+window.  The mod-9 residue of a row is pow(multiplier, n, 9).
+
 Checkpoints are written every `checkpoint_every` steps or
 `checkpoint_seconds` seconds, whichever comes first, plus once at the
 end of the run.
@@ -149,51 +157,20 @@ def _flag(v: bool | None) -> str:
     return "1" if v else "0"
 
 
-class _CsvWriter:
-    def __init__(self, fh: IO[str]):
-        self._fh = fh
-        fh.write(CSV_HEADER + "\n")
-
-    def row(self, rec: VerificationRecord, ratio: str, mean: str) -> None:
-        self._fh.write(
-            f"{rec.n},{rec.s},{rec.digit_count},{ratio},{mean},"
-            f"{_flag(rec.theorem_ok)},{_flag(rec.lemma2_ok)},"
-            f"{_flag(rec.gap_ok)},{_flag(rec.fourpow_ok)}\n"
-        )
+def _csv_row(rec: VerificationRecord, ratio: str, mean: str) -> str:
+    return (
+        f"{rec.n},{rec.s},{rec.digit_count},{ratio},{mean},"
+        f"{_flag(rec.theorem_ok)},{_flag(rec.lemma2_ok)},"
+        f"{_flag(rec.gap_ok)},{_flag(rec.fourpow_ok)}\n"
+    )
 
 
-class _JsonWriter:
-    def __init__(self, fh: IO[str]):
-        self._fh = fh
-
-    def row(self, rec: VerificationRecord, ratio: str, mean: str) -> None:
-        obj = {
-            "n": rec.n,
-            "s": rec.s,
-            "digit_count": rec.digit_count,
-            "m": rec.m,
-            "ratio": ratio,
-            "running_mean": mean,
-            "theorem_ok": rec.theorem_ok,
-            "lemma2_ok": rec.lemma2_ok,
-            "lemma2_checked": rec.lemma2_checked,
-            "gap_ok": rec.gap_ok,
-            "fourpow_ok": rec.fourpow_ok,
-            "ekbound_ok": rec.ekbound_ok,
-            "digitcount_ok": rec.digitcount_ok,
-            "mod9_ok": rec.mod9_ok,
-        }
-        self._fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+def _json_row(rec: VerificationRecord, ratio: str, mean: str) -> str:
+    obj = {**vars(rec), "ratio": ratio, "running_mean": mean}
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _make_writer(out: IO[str] | None, fmt: str):
-    if out is None:
-        return None
-    if fmt == "csv":
-        return _CsvWriter(out)
-    if fmt == "json":
-        return _JsonWriter(out)
-    raise ValueError(f"unknown format {fmt!r}")
+_ROW_TEXT = {"csv": _csv_row, "json": _json_row}
 
 
 def _initial_state(cfg: SweepConfig) -> PowerState:
@@ -210,25 +187,6 @@ def _initial_state(cfg: SweepConfig) -> PowerState:
     return PowerState.start(multiplier)
 
 
-def _warm_window(state: PowerState, window: _RatioWindow, lo: int) -> None:
-    """Push the rows up to state.n that row lo's window covers, stepping back exactly.
-
-    lo is the first row the sweep emits, lo > state.n.  Makes resumed
-    runs emit the same running_mean column as uninterrupted ones for any
-    window size.
-    """
-    need = min(state.n, state.n - lo + window.window)
-    if need <= 0:
-        return
-    back = state.clone()
-    hist = []
-    for _ in range(need):
-        hist.append((back.n, digit_sum(back.value)))
-        back.step_back()
-    for n, s in reversed(hist):
-        window.push(n, s)
-
-
 def run_sweep(
     cfg: SweepConfig,
     out: IO[str] | None = None,
@@ -238,31 +196,37 @@ def run_sweep(
 ) -> tuple[SweepSummary, list[VerificationRecord]]:
     """Run the sweep; returns the summary and (if collect) all records."""
     state = _initial_state(cfg)
-    if cfg.max_n <= state.n:
-        raise ValueError(f"max_n {cfg.max_n} is not beyond start n {state.n}")
+    start_n = state.n
+    if cfg.max_n <= start_n:
+        raise ValueError(f"max_n {cfg.max_n} is not beyond start n {start_n}")
     if cfg.split_checks not in ("policy", "full", "off"):
         raise ValueError(f"unknown split_checks mode {cfg.split_checks!r}")
     emit_lo, emit_hi = cfg.emit_range or (1, cfg.max_n)
     if not 1 <= emit_lo <= emit_hi <= cfg.max_n:
         raise ValueError(f"bad emit range {emit_lo}..{emit_hi} for max_n {cfg.max_n}")
-    writer = _make_writer(out, fmt)
+    if out is not None and fmt not in _ROW_TEXT:
+        raise ValueError(f"unknown format {fmt!r}")
     is_two = state.multiplier == 2
 
     # floor(x * log2 10) up to index digit_count: 2**n has at most
     # n // 3 + 1 digits, since log10 2 < 1/3
     gap = floor_log2_pow10(min(cfg.max_n // 3, FLOOR_TABLE_CAP) + 1) if is_two else None
+    lo = max(emit_lo, start_n + 1)  # the first row emitted
     window = _RatioWindow(cfg.window)
-    if writer is not None:
-        _warm_window(state, window, max(emit_lo, state.n + 1))
+    if out is not None:
+        if fmt == "csv":
+            out.write(CSV_HEADER + "\n")
+        first = max(1, lo - cfg.window + 1)  # row lo's window covers first..lo
+        while state.n >= first:
+            state.step_back()
 
-    summary = SweepSummary(state.multiplier, state.n, cfg.max_n)
+    summary = SweepSummary(state.multiplier, start_n, cfg.max_n)
     records: list[VerificationRecord] = []
     ckpt_dir = Path(cfg.checkpoint_dir) if cfg.checkpoint_dir is not None else None
     if ckpt_dir is not None:
         ckpt_dir.mkdir(parents=True, exist_ok=True)
-    last_ckpt_n = state.n
+    last_ckpt_n = start_n
     last_ckpt_t = time.monotonic()
-    residue9 = state.residue_mod9()
     t0 = time.perf_counter()
 
     def fail(rec: VerificationRecord, names: list[str]) -> None:
@@ -276,14 +240,13 @@ def run_sweep(
 
     for n in range(state.n + 1, cfg.max_n + 1):
         state.step()
-        residue9 = residue9 * state.multiplier % 9
-        if n < emit_lo or n > emit_hi:
-            if writer is not None and emit_lo - cfg.window < n < emit_lo:
-                window.push(n, digit_sum(state.value))  # in row emit_lo's window
+        if n < lo or n > emit_hi:
+            if n < lo and out is not None:
+                window.push(n, digit_sum(state.value))  # in row lo's window
             continue
         s, m = digit_tally(state.value)
         dc = digit_count(state.value)
-        mod9_ok = s % 9 == residue9
+        mod9_ok = s % 9 == pow(state.multiplier, n, 9)
 
         theorem_ok = lemma2_ok = gap_ok = fourpow_ok = ekbound_ok = dcf_ok = None
         checked = 0
@@ -310,10 +273,10 @@ def run_sweep(
         summary.rows += 1
         if collect:
             records.append(rec)
-        if writer is not None:
+        if out is not None:
             ratio, mean = window.push(n, s)
-            writer.row(rec, render_fraction(ratio, RATIO_PLACES),
-                       render_fraction(mean, RATIO_PLACES))
+            out.write(_ROW_TEXT[fmt](rec, render_fraction(ratio, RATIO_PLACES),
+                                    render_fraction(mean, RATIO_PLACES)))
 
         if ckpt_dir is not None and (
             n - last_ckpt_n >= cfg.checkpoint_every

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import time
@@ -166,9 +167,13 @@ def test_sweep_resume_matches_fresh(tmp_path):
     assert resumed_rows[1:] == fresh_rows[31:]
 
 
-def resume_from(monkeypatch, state: dp.PowerState) -> None:
-    # hand the sweep a start state the checkpoint loader would reject
-    monkeypatch.setattr(digitpow.sweep, "load_checkpoint", lambda path: state.clone())
+def resume_from(monkeypatch, n: int, value: int, multiplier: int = 2) -> None:
+    # hand the sweep a start state the checkpoint loader would reject,
+    # built afresh per load because the sweep steps it in place
+    monkeypatch.setattr(
+        digitpow.sweep, "load_checkpoint",
+        lambda path: dp.PowerState(n, dp.from_decimal_string(str(value)), multiplier),
+    )
 
 
 def test_sweep_resume_detects_tampered_chain(tmp_path, monkeypatch):
@@ -178,7 +183,7 @@ def test_sweep_resume_detects_tampered_chain(tmp_path, monkeypatch):
     with pytest.raises(dp.CheckpointError):
         dp.run_sweep(dp.SweepConfig(max_n=12, start_checkpoint=ckpt))
     # past the loader, the split checks still catch it downstream
-    resume_from(monkeypatch, tampered)
+    resume_from(monkeypatch, 10, 1033)
     summary, records = dp.run_sweep(
         dp.SweepConfig(max_n=12, start_checkpoint=ckpt), collect=True
     )
@@ -190,7 +195,7 @@ def test_sweep_resume_detects_tampered_chain(tmp_path, monkeypatch):
 @pytest.mark.parametrize("n,max_n", [(0, 1), (10, 11)])
 def test_sweep_resume_with_an_extra_digit(tmp_path, monkeypatch, n, max_n):
     # 10 * 2**n: one digit more than the floor table sized from max_n covers
-    resume_from(monkeypatch, dp.PowerState(n, dp.from_decimal_string(str(10 * 2**n)), 2))
+    resume_from(monkeypatch, n, 10 * 2**n)
     summary, records = dp.run_sweep(
         dp.SweepConfig(max_n=max_n, start_checkpoint=tmp_path / "unread.txt"), collect=True
     )
@@ -206,13 +211,23 @@ def test_sweep_floor_table_grows_past_cap(monkeypatch):
     assert summary.ok and capped == uncapped
 
 
-@pytest.mark.parametrize("window", [1, 5, 100])
-def test_stats_running_mean_fresh_matches_resumed(tmp_path, window):
+@pytest.mark.parametrize("window,multiplier,fmt", [
+    pytest.param(1, 2, "csv", id="1"),
+    pytest.param(5, 2, "csv", id="5"),
+    pytest.param(100, 2, "csv", id="100"),
+    # 3 steps back through div_small's generic path
+    pytest.param(5, 3, "csv", id="5-a3"),
+    pytest.param(100, 3, "csv", id="100-a3"),
+    pytest.param(5, 2, "json", id="5-json"),
+    pytest.param(100, 3, "json", id="100-a3-json"),
+])
+def test_stats_running_mean_fresh_matches_resumed(tmp_path, window, multiplier, fmt):
     # running_mean at n averages s/n over max(1, n - window + 1)..n,
     # whether the run starts at n = 0 or resumes below or inside the band
     expected = [
         dp.render_fraction(
-            sum(Fraction(oracle_digit_sum(k), k) for k in range(max(1, n - window + 1), n + 1))
+            sum(Fraction(oracle_digit_sum(k, multiplier), k)
+                for k in range(max(1, n - window + 1), n + 1))
             / (n - max(1, n - window + 1) + 1),
             10,
         )
@@ -221,14 +236,20 @@ def test_stats_running_mean_fresh_matches_resumed(tmp_path, window):
     starts = [None]
     for n in (20, 49):
         starts.append(dp.save_checkpoint(
-            dp.PowerState(n, dp.from_decimal_string(str(2**n)), 2), tmp_path / f"ck{n}.txt"
+            dp.PowerState(n, dp.from_decimal_string(str(multiplier**n)), multiplier),
+            tmp_path / f"ck{n}.txt",
         ))
     for ckpt in starts:
-        _, lines = run_csv(dp.SweepConfig(
-            max_n=53, window=window, split_checks="off", start_checkpoint=ckpt,
-            emit_range=(50, 53),
-        ))
-        assert [line.split(",")[4] for line in lines[1:]] == expected, ckpt
+        buf = io.StringIO()
+        dp.run_sweep(dp.SweepConfig(
+            max_n=53, multiplier=multiplier, window=window, split_checks="off",
+            start_checkpoint=ckpt, emit_range=(50, 53),
+        ), out=buf, fmt=fmt)
+        if fmt == "json":
+            means = [json.loads(line)["running_mean"] for line in buf.getvalue().splitlines()]
+        else:
+            means = [line.split(",")[4] for line in buf.getvalue().splitlines()[1:]]
+        assert means == expected, ckpt
 
 
 def test_sweep_checkpoint_cadence(tmp_path):
@@ -308,7 +329,7 @@ def test_cli_verify_resume_failure_exit(tmp_path, capsys, monkeypatch):
     assert main(argv) == 2
     assert "is not 2**10" in capsys.readouterr().err
     # a failing row, not a bad checkpoint, exits 1
-    resume_from(monkeypatch, tampered)
+    resume_from(monkeypatch, 10, 1033)
     assert main(argv) == 1
     assert "FAIL" in capsys.readouterr().err
 
@@ -329,7 +350,7 @@ def test_cli_stats_rejects_forged_checkpoint(tmp_path, capsys, window):
 
 def test_cli_stats_step_back_failure(capsys, monkeypatch):
     # warming the window steps back from 9 at n=3, which 2 does not divide
-    resume_from(monkeypatch, dp.PowerState(3, dp.from_small(9), 2))
+    resume_from(monkeypatch, 3, 9)
     code = main([
         "stats", "--start-checkpoint", "ck.txt", "--range", "4:5", "--window", "100",
     ])
@@ -354,6 +375,50 @@ def test_cli_stats(tmp_path, capsys):
     n10 = lines[10].split(",")
     assert n10[0] == "10" and n10[3] == "0.7000000000"
     assert "reference constant" in capsys.readouterr().err
+
+
+GOLDEN_OUTPUTS = [
+    (["verify", "--max-n", "3000", "--format", "json"], None,
+     "0c826dc9bf3412dbb517a6b425f09105e9f676f59c169b7726e746f4200e720d"),
+    (["stats", "--range", "1:5000", "--window", "100"], None,
+     "50390595a0fb1dddf6894f95b0d1785f7df8f4175001adf9e5e10452a7f52736"),
+    (["stats", "--range", "2050:2600", "--window", "300", "--format", "json"], (2, 2000),
+     "b6cd19f66feefe3e160359c3720bc0e6dc16d8a9cc4cd55972545f6454cad73c"),
+    (["stats", "--range", "301:600", "--window", "50"], (3, 300),
+     "0335df873c8795c3c6984e8dfa8b1e222973af5a8cc4b93c0d2a1efa7e1c6066"),
+]
+
+
+@pytest.mark.parametrize("argv,start,digest", GOLDEN_OUTPUTS)
+def test_cli_golden_output(tmp_path, capsys, argv, start, digest):
+    # byte-identical output across versions, fresh and resumed
+    if start is not None:
+        a, n = start
+        ckpt = dp.save_checkpoint(
+            dp.PowerState(n, dp.from_decimal_string(str(a**n)), a), tmp_path / "ck.txt"
+        )
+        argv = argv + ["--start-checkpoint", str(ckpt)]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_cli_verify_rejects_huge_forged_n(tmp_path, capsys):
+    # a valid digest over n = 10**12 must not make the loader build 2**n
+    path = tmp_path / "ck.txt"
+    path.write_text(checkpoint_text(2, 10**12, "1"))
+    with pytest.raises(dp.CheckpointError):
+        dp.load_checkpoint(path)
+    assert main([
+        "verify", "--max-n", str(10**12 + 1), "--start-checkpoint", str(path),
+    ]) == 2
+    assert "is not 2**1000000000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,window", [("verify", "1"), ("stats", "100")])
+def test_cli_window_default_in_help(capsys, command, window):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert f"running_mean (default {window})" in " ".join(capsys.readouterr().out.split())
 
 
 def test_cli_stats_needs_range(capsys):
