@@ -17,6 +17,7 @@ from .intlog import BOUND_TABLE_MAX_K, bound_table, floor_log2_pow10
 from .oeis import BFileFormatError, cross_check, parse_bfile
 from .power import CheckpointError, PowerState
 from .ratios import conjecture_constant
+from .shards import default_jobs
 from .sweep import SweepConfig, run_sweep
 
 
@@ -54,6 +55,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
         checkpoint_seconds=args.checkpoint_seconds,
+        jobs=args.jobs,
     )
     with _open_out(args.out) as fh:
         summary, _ = run_sweep(cfg, out=fh, fmt=args.format, log=_log)
@@ -148,7 +150,9 @@ def cmd_oeis(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    summary, _ = run_sweep(SweepConfig(max_n=args.max_n, multiplier=args.multiplier))
+    summary, _ = run_sweep(
+        SweepConfig(max_n=args.max_n, multiplier=args.multiplier, jobs=args.jobs)
+    )
     print(summary.describe())
     return 0 if summary.ok else 1
 
@@ -159,6 +163,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact verification of digit-sum growth for powers of two.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_jobs(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--jobs", type=int, default=default_jobs(),
+                       help="processes to shard the split checks of 2**n across; "
+                            "the output does not depend on it (default: the "
+                            "cores this process may use, %(default)s)")
 
     def add_common(p: argparse.ArgumentParser, window: int) -> None:
         p.add_argument("--multiplier", type=int, default=None,
@@ -179,6 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="steps between checkpoints")
     p.add_argument("--checkpoint-seconds", type=float, default=60.0,
                    help="seconds between checkpoints")
+    add_jobs(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("stats", help="ratio tracking sweep (split checks off)")
@@ -206,6 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time a verify sweep of n = 1..max-n, no output rows")
     p.add_argument("--max-n", type=int, default=10_000)
     p.add_argument("--multiplier", type=int, default=2)
+    add_jobs(p)
     p.set_defaults(func=cmd_bench)
 
     return parser

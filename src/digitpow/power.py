@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .bignum import (
+    LIMB_BASE,
     DecimalNat,
     div_small,
     double_in_place,
@@ -82,19 +83,41 @@ class PowerState:
             self.value = mul_small(self.value, self.multiplier)
         self.n += 1
 
-    def step_back(self) -> None:
-        """Undo one step exactly; raises CheckpointError if the value does
-        not divide, which only a corrupt start state can cause."""
-        if self.n == 0:
-            raise ValueError("cannot step back from n=0")
-        q, r = div_small(self.value, self.multiplier)
-        if r:
-            raise CheckpointError(
-                f"value at n={self.n} is not divisible by {self.multiplier}; "
-                "state is corrupt"
-            )
-        self.value = q
-        self.n -= 1
+    def step_back(self, steps: int = 1) -> None:
+        """Undo `steps` steps exactly; raises CheckpointError naming the
+        first n whose value does not divide, which only a corrupt start
+        state can cause.
+
+        A multiplier other than 2 divides by the largest a**j below the
+        limb base per call, since each call is a per-limb Python loop;
+        a**j divides the value exactly when each of the j steps would.
+        """
+        if not 0 <= steps <= self.n:
+            raise ValueError(f"cannot step back {steps} steps from n={self.n}")
+        a = self.multiplier
+        per_call = 1 if a == 2 else _max_exponent_below(a, LIMB_BASE)
+        while steps:
+            j = min(per_call, steps)
+            q, r = div_small(self.value, a**j)
+            if r:
+                # a**i divides the value exactly when it divides r
+                i = 0
+                while r % a ** (i + 1) == 0:
+                    i += 1
+                raise CheckpointError(
+                    f"value at n={self.n - i} is not divisible by {a}; "
+                    "state is corrupt"
+                )
+            self.value = q
+            self.n -= j
+            steps -= j
+
+
+def _max_exponent_below(a: int, bound: int) -> int:
+    j = 1
+    while a ** (j + 1) < bound:
+        j += 1
+    return j
 
 
 def _payload_digest(multiplier: int, n: int, value_str: str) -> str:

@@ -53,6 +53,35 @@ def test_step_back_detects_corruption():
         state.step_back()
 
 
+@pytest.mark.parametrize("multiplier", [2, 3, 7, 20, 99])
+def test_step_back_many(multiplier):
+    # several steps per division for multipliers other than 2
+    state = dp.PowerState(60, dp.from_decimal_string(oracle_value_str(60, multiplier)), multiplier)
+    state.step_back(57)
+    assert state.n == 3
+    assert dp.to_decimal_string(state.value) == oracle_value_str(3, multiplier)
+    state.step_back(0)
+    assert state.n == 3
+    with pytest.raises(ValueError):
+        state.step_back(4)
+
+
+@pytest.mark.parametrize("multiplier,good", [(3, 5), (3, 20), (7, 1), (2, 4)])
+def test_step_back_names_first_bad_n(multiplier, good):
+    # divisible by exactly multiplier**good: the value at n = 40 - good is
+    # the first one that does not divide, as stepping one at a time finds
+    value = multiplier**good * (multiplier**30 + 1)
+    messages = []
+    for steps in (40, 1):
+        state = dp.PowerState(40, dp.from_decimal_string(str(value)), multiplier)
+        with pytest.raises(dp.CheckpointError) as exc:
+            while True:
+                state.step_back(steps)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert f"value at n={40 - good} is not divisible by {multiplier}" in messages[0]
+
+
 def test_residue_mod9():
     state = dp.PowerState.start(7)
     for n in range(30):

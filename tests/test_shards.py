@@ -1,0 +1,167 @@
+"""A split-checking sweep sharded across processes writes what one
+process writes: rows, checkpoints, failure counts and log lines."""
+
+import hashlib
+import io
+import os
+from pathlib import Path
+
+import pytest
+
+import digitpow as dp
+import digitpow.sweep
+from digitpow.shards import plan_shards
+
+JOBS = (1, 2, 3)
+
+
+def run(cfg_args: dict, jobs: int, fmt: str = "csv", ckdir: Path | None = None):
+    buf, logs = io.StringIO(), []
+    summary, records = dp.run_sweep(
+        dp.SweepConfig(jobs=jobs, checkpoint_dir=ckdir, **cfg_args),
+        out=buf, fmt=fmt, collect=True, log=logs.append,
+    )
+    return buf.getvalue(), summary, records, logs
+
+
+def checkpoint_files(ckdir: Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in ckdir.iterdir()}
+
+
+def assert_no_children() -> None:
+    # every forked shard has been reaped: waitpid finds no child at all
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("window", [1, 5, 100])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
+def test_sharded_bytes_equal_one_process(tmp_path, window, fmt, resumed):
+    cfg_args = {"max_n": 700, "window": window, "emit_range": (230, 640),
+                "checkpoint_every": 70}
+    if resumed:
+        cfg_args["start_checkpoint"] = dp.save_checkpoint(
+            dp.PowerState(300, dp.from_decimal_string(str(2**300)), 2), tmp_path / "start.txt"
+        )
+    outputs = []
+    for jobs in JOBS:
+        ckdir = tmp_path / f"ck{jobs}"
+        text, summary, records, logs = run(cfg_args, jobs, fmt, ckdir)
+        assert summary.ok and not logs
+        assert summary.jobs == jobs
+        outputs.append((text, [vars(r) for r in records], checkpoint_files(ckdir)))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    names = sorted(outputs[0][2])
+    start = 300 if resumed else 0
+    grid = [n for n in range(max(230, start + 1), 641) if (n - start) % 70 == 0]
+    assert names == [f"ckpt-n{n:012d}.txt" for n in grid + [700]]
+
+
+def test_sharded_tampered_start_reports_as_one_process(monkeypatch):
+    # 10 * 2**10 at n = 10: every later row has one digit too many and a
+    # zero low digit, so it fails four checks and logs its split failure;
+    # the 20 failure lines end at n = 30, past the first shard
+    reports = []
+    for jobs in JOBS:
+        monkeypatch.setattr(
+            digitpow.sweep, "load_checkpoint",
+            lambda path: dp.PowerState(10, dp.from_small(10 * 2**10), 2),
+        )
+        text, summary, records, logs = run({"max_n": 36, "start_checkpoint": "unread"}, jobs)
+        assert summary.jobs == jobs
+        reports.append((text, list(summary.check_failures.items()),
+                        summary.failure_lines, logs))
+    assert len(reports[0][2]) == dp.sweep.MAX_LOGGED_FAILURES
+    assert reports[0][2][-1].startswith("n=30:")
+    assert all(plan_shards(11, 36, jobs)[0][1] < 30 for jobs in JOBS[1:])
+    assert reports[0][1] == [
+        ("lemma2_ok", 26), ("fourpow_ok", 26), ("ekbound_ok", 26), ("digitcount_ok", 26)
+    ]
+    assert sum("split bound failed" in line for line in reports[0][3]) == 26
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def fail_at(monkeypatch, bad_n: int) -> None:
+    real = digitpow.sweep.scan_splits
+
+    def scan(state, k):
+        if state.n == bad_n:
+            raise dp.CheckpointError(f"injected at n={bad_n}")
+        return real(state, k)
+
+    monkeypatch.setattr(digitpow.sweep, "scan_splits", scan)
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_child_error_is_raised_in_parent(tmp_path, monkeypatch, jobs):
+    # n = 390 lies in the last shard for both job counts
+    fail_at(monkeypatch, 390)
+    assert plan_shards(1, 400, jobs)[-1][0] < 390
+    with pytest.raises(dp.CheckpointError, match="injected at n=390"):
+        run({"max_n": 400, "checkpoint_every": 50}, jobs, ckdir=tmp_path)
+    assert_no_children()
+    # no staging directory is left behind
+    assert all(p.name.startswith("ckpt-n") for p in tmp_path.iterdir())
+
+
+def test_parent_error_stops_running_children(monkeypatch):
+    # the parent fails on its first row while its children still work
+    fail_at(monkeypatch, 1)
+    with pytest.raises(dp.CheckpointError, match="injected at n=1"):
+        run({"max_n": 3000}, 3)
+    assert_no_children()
+
+
+@pytest.mark.parametrize("lo,hi,jobs", [
+    (1, 1, 2), (1, 3, 5), (5, 8, 4), (98001, 98120, 2), (1, 100000, 2),
+    (1, 100000, 3), (20001, 20002, 3), (7, 6, 2),
+])
+def test_plan_shards_covers_band(lo, hi, jobs):
+    bands = plan_shards(lo, hi, jobs)
+    if hi < lo:
+        assert bands == [(lo, hi)]
+        return
+    assert len(bands) == min(jobs, hi - lo + 1)
+    assert bands[0][0] == lo and bands[-1][1] == hi
+    assert all(a <= b for a, b in bands)  # none empty
+    assert all(b + 1 == c for (_, b), (c, _) in zip(bands, bands[1:]))
+
+
+def test_plan_shards_balances_split_cost():
+    # equal integrals of n**1.3: the later shard of 1..100000 is the shorter
+    (_, cut), _ = plan_shards(1, 100_000, 2)
+    assert 73_000 < cut < 75_000
+    cost = [sum(n**1.3 for n in range(a, b + 1)) for a, b in plan_shards(1, 100_000, 3)]
+    assert max(cost) / min(cost) < 1.001
+
+
+def test_stats_and_other_multipliers_stay_in_one_process():
+    for cfg in (
+        dp.SweepConfig(max_n=50, split_checks="off", jobs=3),
+        dp.SweepConfig(max_n=50, multiplier=3, jobs=3),
+    ):
+        summary, _ = dp.run_sweep(cfg)
+        assert summary.jobs == 1
+    assert "1 job)" in summary.describe()
+
+
+def test_sweep_rejects_zero_jobs():
+    with pytest.raises(ValueError, match="jobs"):
+        dp.run_sweep(dp.SweepConfig(max_n=10, jobs=0))
+
+
+def test_cli_jobs_on_verify_and_bench_only(capsys):
+    from digitpow.cli import main
+
+    outputs = []
+    for jobs in ("1", "3"):
+        assert main(["verify", "--max-n", "300", "--format", "json", "--jobs", jobs]) == 0
+        captured = capsys.readouterr()
+        outputs.append(captured.out)
+        assert f"{jobs} job" in captured.err
+    assert outputs[0] == outputs[1]
+    assert main(["bench", "--max-n", "300", "--jobs", "2"]) == 0
+    assert "2 jobs)" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["stats", "--range", "1:10", "--jobs", "2"])
