@@ -77,6 +77,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         split_checks="off",
         start_checkpoint=args.start_checkpoint,
         emit_range=(lo, hi),
+        jobs=args.jobs,
     )
     with _open_out(args.out) as fh:
         summary, _ = run_sweep(cfg, out=fh, fmt=args.format, log=_log)
@@ -166,9 +167,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_jobs(p: argparse.ArgumentParser) -> None:
         p.add_argument("--jobs", type=int, default=default_jobs(),
-                       help="processes to shard the split checks of 2**n across; "
-                            "the output does not depend on it (default: the "
-                            "cores this process may use, %(default)s)")
+                       help="processes to shard the sweep's rows across; the "
+                            "output does not depend on it (default: the cores "
+                            "this process may use, %(default)s)")
 
     def add_common(p: argparse.ArgumentParser, window: int) -> None:
         p.add_argument("--multiplier", type=int, default=None,
@@ -196,6 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, window=100)
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--range", default=None, help="emit rows for n in LO:HI")
+    add_jobs(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("decompose", help="digit decomposition of multiplier**n")

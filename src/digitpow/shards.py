@@ -1,8 +1,11 @@
 """Cutting a sweep's rows into bands and running bands in forked processes.
 
-A row's split checks cost about n**1.3 (scan_splits measured at
-n = 1e4, 5e4 and 9.8e4), so `plan_shards` cuts the rows at equal
-integrals of n**1.3, not at equal row counts.
+`plan_shards` cuts the rows at equal integrals of a row's cost, not at
+equal row counts.  A row that checks splits costs about n**1.3, its
+split checks' growth (scan_splits measured at n = 1e4, 5e4 and 9.8e4).
+A row that checks none, a stats row or a row of another multiplier,
+costs about n + STATS_ROW_BASE: its digit work grows as n, and a fixed
+per-row cost is as large as that work at n = 50000.
 
 `Forked` runs one piece of work in a child made by os.fork, not by a
 spawned interpreter: the child inherits the loaded and verified start
@@ -14,6 +17,7 @@ travels back, pickled, through a pipe.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import signal
@@ -21,6 +25,9 @@ from typing import Callable
 
 CAN_FORK = hasattr(os, "fork")
 SPLIT_COST_EXPONENT = 1.3
+# fitted to the times of the two bands of a sharded n = 1..100000 stats
+# sweep on a shared 2-vCPU Xeon
+STATS_ROW_BASE = 50_000
 
 
 def default_jobs() -> int:
@@ -32,9 +39,25 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def plan_shards(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
+def _work(x: float, splits: bool) -> float:
+    """The cost of rows 1..x, up to a constant factor."""
+    if splits:
+        p = SPLIT_COST_EXPONENT + 1
+        return x**p / p
+    return x * x / 2 + STATS_ROW_BASE * x
+
+
+def _rows_for(work: float, splits: bool) -> float:
+    """The x with _work(x, splits) == work."""
+    if splits:
+        p = SPLIT_COST_EXPONENT + 1
+        return (p * work) ** (1 / p)
+    return math.sqrt(STATS_ROW_BASE**2 + 2 * work) - STATS_ROW_BASE
+
+
+def plan_shards(lo: int, hi: int, jobs: int, splits: bool) -> list[tuple[int, int]]:
     """Cut rows lo..hi into min(jobs, rows) contiguous, non-empty bands
-    of about equal split-check cost, the integral of n**1.3 over each.
+    of about equal cost, the integral of the row cost over each.
 
     The cuts only place work; no verdict depends on them.  With no rows
     the one band (lo, hi) is empty.
@@ -42,11 +65,10 @@ def plan_shards(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
     count = min(jobs, hi - lo + 1)
     if count <= 1:
         return [(lo, hi)]
-    p = SPLIT_COST_EXPONENT + 1
-    a, b = (lo - 1) ** p, hi**p
+    a, b = _work(lo - 1, splits), _work(hi, splits)
     cuts = [lo - 1]
     for i in range(1, count):
-        cut = round((a + (b - a) * i / count) ** (1 / p))
+        cut = round(_rows_for(a + (b - a) * i / count, splits))
         cuts.append(min(max(cut, cuts[-1] + 1), hi - (count - i)))
     cuts.append(hi)
     return [(c + 1, d) for c, d in zip(cuts, cuts[1:])]

@@ -26,18 +26,24 @@ window and checks and emits the rows in it.  So a resumed run writes
 the same bytes as an uninterrupted one, for any window.  The mod-9
 residue of a row is pow(multiplier, n, 9).
 
-A sweep of 2**n that checks splits is sharded: the emitted rows are
-cut into `jobs` contiguous bands of equal split-check cost
-(shards.plan_shards), and once the start state is loaded and verified the
-process forks one child per band but the first.  Each child walks its
-copy of the start state to its own band and checks it into a buffer;
-the parent checks the first band, streaming it to `out`, then writes
-each child's text in n order and merges its failure counts, records,
-failure lines and log lines.  Every row is still decided from its own
-value, so the output bytes do not depend on `jobs`.  A stats sweep
-(splits off) stays in one process: its rows cost about 0.08 ms, and
-with a second process busy beside it they slow down (p90 +20% on a
-shared 2-vCPU machine) by more than such short rows can gain.
+Every sweep is sharded: the emitted rows are cut into `jobs`
+contiguous bands of equal cost (shards.plan_shards), and once the start
+state is loaded and verified the process forks one child per band but
+the first.  Each child walks its copy of the start state to its own
+band and checks it into a buffer; the parent checks the first band,
+streaming it to `out`, then writes each child's text in n order and
+merges its failure counts, records, failure lines and log lines.  Every
+row is still decided from its own value, and every running_mean from
+its own window, so the output bytes do not depend on `jobs`.
+
+A row's running_mean comes from a rolling integer sum of its window's
+terms floor(s * 10**16 / n), which brackets the exact sum; only when a
+rounding midpoint falls inside the bracket does the row sum the
+window's exact Fractions (_RatioWindow).  The exact mean of a 100-row
+window has a denominator of hundreds of digits: pushing a row and
+rendering its two cells took about 21 us that way and takes about 4 us
+now (3000 rows near n = 80000, shared 2-vCPU Xeon, Python 3.11), beside
+70-110 us for the rest of a stats row.
 
 Checkpoints fall on the grid (n - start n) % checkpoint_every == 0,
 or `checkpoint_seconds` after a band's start or its last checkpoint,
@@ -67,7 +73,7 @@ from .bignum import digit_count, digit_sum, digit_tally
 from .checks import check_positions, scan_splits
 from .intlog import digit_count_formula_check, digit_sum_exceeds_log4, floor_log2_pow10
 from .power import PowerState, load_checkpoint, save_checkpoint, validate_multiplier
-from .ratios import render_fraction
+from .ratios import render_fraction, render_quotient, render_scaled
 from .shards import CAN_FORK, Forked, default_jobs, plan_shards
 
 CSV_HEADER = "n,s,digit_count,ratio,running_mean,theorem_ok,lemma2_ok,gap_ok,fourpow_ok"
@@ -102,7 +108,7 @@ class SweepConfig:
     checkpoint_every: int = 100_000
     checkpoint_seconds: float = 60.0
     emit_range: tuple[int, int] | None = None  # stats mode: rows for this n range
-    # processes a split-checking sweep of 2**n is sharded across
+    # processes the sweep is sharded across
     jobs: int = field(default_factory=default_jobs)
 
 
@@ -154,29 +160,55 @@ class SweepSummary:
 
 
 class _RatioWindow:
-    """Exact mean of s/n over the last `window` rows pushed.
+    """The ratio s/n of each row pushed and the exact mean of s/n over
+    the last `window` rows, both rendered to RATIO_PLACES places,
+    round-half-even.
 
     The sweep pushes every n from max(1, lo - window + 1) on, lo being
     the first row it emits, so the mean at row n covers
     max(1, n - window + 1)..n whatever the emit range and start.
+
+    A row forms no Fraction unless the mean sits next to a rounding
+    midpoint.  With P = RATIO_PLACES and G = GUARD, the window keeps F,
+    the sum of its rows' terms floor(s * 10**(P+G) / n).  Each term is
+    less than 1 below its exact value, so the exact scaled sum T of the
+    c rows lies in [F, F + c), and the mean times 10**P is T / d with
+    d = c * 10**G.  When no midpoint (k + 1/2) * d lies in [F, F + c],
+    T / d and F / d round to the same integer, (2F + d) // (2d).
+    Otherwise (odds about 10**-G a row) the mean is the sum of the
+    window's exact Fraction(s, n) over c, rendered by render_fraction.
     """
+
+    GUARD = 6
 
     def __init__(self, window: int):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         self.window = window
-        self._buf: deque[Fraction] = deque()
-        self._total = Fraction(0)
+        self._unit = 10**self.GUARD
+        self._scale = 10**RATIO_PLACES * self._unit
+        self._rows: deque[tuple[int, int, int]] = deque()  # (n, s, term)
+        self._sum = 0  # F
 
-    def push(self, n: int, s: int) -> tuple[Fraction, Fraction]:
-        r = Fraction(s, n)
+    def push(self, n: int, s: int) -> tuple[str, str]:
+        ratio = render_quotient(s * 10**RATIO_PLACES, n, RATIO_PLACES)
         if self.window == 1:
-            return r, r
-        self._buf.append(r)
-        self._total += r
-        if len(self._buf) > self.window:
-            self._total -= self._buf.popleft()
-        return r, self._total / len(self._buf)
+            return ratio, ratio
+        rows = self._rows
+        term = s * self._scale // n
+        rows.append((n, s, term))
+        self._sum += term
+        if len(rows) > self.window:
+            self._sum -= rows.popleft()[2]
+        c = len(rows)
+        d = c * self._unit
+        f2 = 2 * self._sum
+        q = (f2 + d) // (2 * d)
+        # F / d lies in [q - 1/2, q + 1/2): the midpoints beside it
+        if (2 * q - 1) * d < f2 and f2 + 2 * c < (2 * q + 1) * d:
+            return ratio, render_scaled(q, RATIO_PLACES)
+        mean = sum((Fraction(s, n) for n, s, _ in rows), Fraction(0)) / c
+        return ratio, render_fraction(mean, RATIO_PLACES)
 
 
 def _flag(v: bool | None) -> str:
@@ -312,7 +344,7 @@ def run_sweep(
     # n // 3 + 1 digits, since log10 2 < 1/3
     gap = floor_log2_pow10(min(cfg.max_n // 3, FLOOR_TABLE_CAP) + 1) if is_two else None
     lo = max(emit_lo, start_n + 1)  # the first row emitted
-    bands = plan_shards(lo, emit_hi, cfg.jobs if splits and CAN_FORK else 1)
+    bands = plan_shards(lo, emit_hi, cfg.jobs if CAN_FORK else 1, splits)
     if out is not None and fmt == "csv":
         out.write(CSV_HEADER + "\n")
     ckpt_dir = Path(cfg.checkpoint_dir) if cfg.checkpoint_dir is not None else None
@@ -371,9 +403,7 @@ def run_sweep(
                 )
                 tally.add(rec)
                 if out is not None:
-                    ratio, mean = window.push(n, s)
-                    out.write(_ROW_TEXT[fmt](rec, render_fraction(ratio, RATIO_PLACES),
-                                            render_fraction(mean, RATIO_PLACES)))
+                    out.write(_ROW_TEXT[fmt](rec, *window.push(n, s)))
                 if ckpt_to is not None and (
                     (n - start_n) % cfg.checkpoint_every == 0
                     or time.monotonic() - last_t >= cfg.checkpoint_seconds

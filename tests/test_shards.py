@@ -1,5 +1,5 @@
-"""A split-checking sweep sharded across processes writes what one
-process writes: rows, checkpoints, failure counts and log lines."""
+"""A sweep sharded across processes writes what one process writes:
+rows, checkpoints, failure counts and log lines."""
 
 import hashlib
 import io
@@ -10,7 +10,7 @@ import pytest
 
 import digitpow as dp
 import digitpow.sweep
-from digitpow.shards import plan_shards
+from digitpow.shards import STATS_ROW_BASE, plan_shards
 
 JOBS = (1, 2, 3)
 
@@ -34,16 +34,8 @@ def assert_no_children() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("window", [1, 5, 100])
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
-def test_sharded_bytes_equal_one_process(tmp_path, window, fmt, resumed):
-    cfg_args = {"max_n": 700, "window": window, "emit_range": (230, 640),
-                "checkpoint_every": 70}
-    if resumed:
-        cfg_args["start_checkpoint"] = dp.save_checkpoint(
-            dp.PowerState(300, dp.from_decimal_string(str(2**300)), 2), tmp_path / "start.txt"
-        )
+def assert_jobs_agree(tmp_path, cfg_args: dict, fmt: str) -> dict[str, str]:
+    """Runs the sweep with each of JOBS; returns the checkpoint files."""
     outputs = []
     for jobs in JOBS:
         ckdir = tmp_path / f"ck{jobs}"
@@ -52,10 +44,41 @@ def test_sharded_bytes_equal_one_process(tmp_path, window, fmt, resumed):
         assert summary.jobs == jobs
         outputs.append((text, [vars(r) for r in records], checkpoint_files(ckdir)))
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
-    names = sorted(outputs[0][2])
+    return outputs[0][2]
+
+
+def resume_at(tmp_path, n: int, multiplier: int) -> Path:
+    value = dp.from_decimal_string(str(multiplier**n))
+    return dp.save_checkpoint(dp.PowerState(n, value, multiplier), tmp_path / "start.txt")
+
+
+@pytest.mark.parametrize("window", [1, 5, 100])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
+def test_sharded_bytes_equal_one_process(tmp_path, window, fmt, resumed):
+    cfg_args = {"max_n": 700, "window": window, "emit_range": (230, 640),
+                "checkpoint_every": 70}
+    if resumed:
+        cfg_args["start_checkpoint"] = resume_at(tmp_path, 300, 2)
+    names = sorted(assert_jobs_agree(tmp_path, cfg_args, fmt))
     start = 300 if resumed else 0
     grid = [n for n in range(max(230, start + 1), 641) if (n - start) % 70 == 0]
     assert names == [f"ckpt-n{n:012d}.txt" for n in grid + [700]]
+
+
+@pytest.mark.parametrize("multiplier", [2, 3])
+@pytest.mark.parametrize("window", [1, 5, 100])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
+def test_stats_sharded_bytes_equal_one_process(tmp_path, multiplier, window, fmt, resumed):
+    # stats sweeps check no splits, and neither do sweeps of 3**n
+    cfg_args = {"max_n": 900, "multiplier": multiplier, "window": window,
+                "split_checks": "off", "emit_range": (330, 860), "checkpoint_every": 200}
+    if resumed:
+        cfg_args["start_checkpoint"] = resume_at(tmp_path, 400, multiplier)
+    names = assert_jobs_agree(tmp_path, cfg_args, fmt)
+    grid = (600, 800) if resumed else (400, 600, 800)
+    assert sorted(names) == [f"ckpt-n{n:012d}.txt" for n in (*grid, 900)]
 
 
 def test_sharded_tampered_start_reports_as_one_process(monkeypatch):
@@ -74,7 +97,7 @@ def test_sharded_tampered_start_reports_as_one_process(monkeypatch):
                         summary.failure_lines, logs))
     assert len(reports[0][2]) == dp.sweep.MAX_LOGGED_FAILURES
     assert reports[0][2][-1].startswith("n=30:")
-    assert all(plan_shards(11, 36, jobs)[0][1] < 30 for jobs in JOBS[1:])
+    assert all(plan_shards(11, 36, jobs, True)[0][1] < 30 for jobs in JOBS[1:])
     assert reports[0][1] == [
         ("lemma2_ok", 26), ("fourpow_ok", 26), ("ekbound_ok", 26), ("digitcount_ok", 26)
     ]
@@ -97,7 +120,7 @@ def fail_at(monkeypatch, bad_n: int) -> None:
 def test_child_error_is_raised_in_parent(tmp_path, monkeypatch, jobs):
     # n = 390 lies in the last shard for both job counts
     fail_at(monkeypatch, 390)
-    assert plan_shards(1, 400, jobs)[-1][0] < 390
+    assert plan_shards(1, 400, jobs, True)[-1][0] < 390
     with pytest.raises(dp.CheckpointError, match="injected at n=390"):
         run({"max_n": 400, "checkpoint_every": 50}, jobs, ckdir=tmp_path)
     assert_no_children()
@@ -118,32 +141,39 @@ def test_parent_error_stops_running_children(monkeypatch):
     (1, 100000, 3), (20001, 20002, 3), (7, 6, 2),
 ])
 def test_plan_shards_covers_band(lo, hi, jobs):
-    bands = plan_shards(lo, hi, jobs)
-    if hi < lo:
-        assert bands == [(lo, hi)]
-        return
-    assert len(bands) == min(jobs, hi - lo + 1)
-    assert bands[0][0] == lo and bands[-1][1] == hi
-    assert all(a <= b for a, b in bands)  # none empty
-    assert all(b + 1 == c for (_, b), (c, _) in zip(bands, bands[1:]))
+    for splits in (True, False):
+        bands = plan_shards(lo, hi, jobs, splits)
+        if hi < lo:
+            assert bands == [(lo, hi)]
+            continue
+        assert len(bands) == min(jobs, hi - lo + 1)
+        assert bands[0][0] == lo and bands[-1][1] == hi
+        assert all(a <= b for a, b in bands)  # none empty
+        assert all(b + 1 == c for (_, b), (c, _) in zip(bands, bands[1:]))
+
+
+def assert_balanced(splits: bool) -> None:
+    def row_cost(n: int) -> float:
+        return n**1.3 if splits else n + STATS_ROW_BASE
+
+    for lo, hi, jobs in ((1, 100_000, 3), (80_001, 83_000, 2), (98_001, 98_120, 2)):
+        cost = [sum(row_cost(n) for n in range(a, b + 1))
+                for a, b in plan_shards(lo, hi, jobs, splits)]
+        assert max(cost) / min(cost) < (1.02 if hi - lo < 1000 else 1.001)
 
 
 def test_plan_shards_balances_split_cost():
     # equal integrals of n**1.3: the later shard of 1..100000 is the shorter
-    (_, cut), _ = plan_shards(1, 100_000, 2)
+    (_, cut), _ = plan_shards(1, 100_000, 2, True)
     assert 73_000 < cut < 75_000
-    cost = [sum(n**1.3 for n in range(a, b + 1)) for a, b in plan_shards(1, 100_000, 3)]
-    assert max(cost) / min(cost) < 1.001
+    assert_balanced(True)
 
 
-def test_stats_and_other_multipliers_stay_in_one_process():
-    for cfg in (
-        dp.SweepConfig(max_n=50, split_checks="off", jobs=3),
-        dp.SweepConfig(max_n=50, multiplier=3, jobs=3),
-    ):
-        summary, _ = dp.run_sweep(cfg)
-        assert summary.jobs == 1
-    assert "1 job)" in summary.describe()
+def test_plan_shards_balances_stats_cost():
+    # a row that checks no splits costs about n + STATS_ROW_BASE
+    (_, cut), _ = plan_shards(1, 100_000, 2, False)
+    assert 61_000 < cut < 63_000
+    assert_balanced(False)
 
 
 def test_sweep_rejects_zero_jobs():
@@ -151,17 +181,18 @@ def test_sweep_rejects_zero_jobs():
         dp.run_sweep(dp.SweepConfig(max_n=10, jobs=0))
 
 
-def test_cli_jobs_on_verify_and_bench_only(capsys):
+def test_cli_jobs_on_every_sweep(capsys):
     from digitpow.cli import main
 
-    outputs = []
-    for jobs in ("1", "3"):
-        assert main(["verify", "--max-n", "300", "--format", "json", "--jobs", jobs]) == 0
-        captured = capsys.readouterr()
-        outputs.append(captured.out)
-        assert f"{jobs} job" in captured.err
-    assert outputs[0] == outputs[1]
+    for command in (["verify", "--max-n", "300"], ["stats", "--range", "120:300"]):
+        outputs = []
+        for jobs in ("1", "3"):
+            assert main([*command, "--format", "json", "--jobs", jobs]) == 0
+            captured = capsys.readouterr()
+            outputs.append(captured.out)
+            assert f"{jobs} job" in captured.err
+        assert outputs[0] == outputs[1]
     assert main(["bench", "--max-n", "300", "--jobs", "2"]) == 0
     assert "2 jobs)" in capsys.readouterr().out
     with pytest.raises(SystemExit):
-        main(["stats", "--range", "1:10", "--jobs", "2"])
+        main(["decompose", "10", "--jobs", "2"])
