@@ -12,6 +12,7 @@ the empty limb sequence.  Every constructor produces canonical values.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
@@ -20,16 +21,32 @@ LIMB_DIGITS = 9
 
 _LIMB_DTYPE = np.int64
 _EMPTY = np.empty(0, dtype=_LIMB_DTYPE)
-# per 3-digit chunk c = 0..999: its digit sum in the low 32 bits and its
-# nonzero-digit count above them; a limb is read as three chunks
-_CHUNK_TALLY = np.array(
-    [sum(map(int, str(c))) + (sum(d != "0" for d in str(c)) << 32) for c in range(1000)],
-    dtype=np.int64,
+# the digits of each 3-digit chunk c = 0..999, lowest first, and which
+# of them are nonzero as a 3-bit mask
+_CHUNK_DIGITS = np.arange(1000, dtype=np.int32)[:, None] // np.array([1, 10, 100]) % 10
+_CHUNK_MASK = ((_CHUNK_DIGITS != 0) << np.arange(3)).sum(axis=1).tolist()
+# per 3-digit chunk: its nonzero-digit count in the low 24 bits and its
+# digit sum above them
+_CHUNK_TALLY = (
+    np.count_nonzero(_CHUNK_DIGITS, axis=1) + (_CHUNK_DIGITS.sum(axis=1) << 24)
+).astype(np.int32)
+# the same per 5-digit chunk c = 0..99999, 0.4 MiB, built as c // 1000
+# and c % 1000 without an int64 temporary; a limb is read as its low 5
+# digits and its high 4.  A limb packs at most 81 << 24 | 9 < 2**31, so
+# the sum of its two entries stays in int32, and a value's packed total,
+# summed in int64, stays exact while its nonzero count, at most 9 per
+# limb, fits 24 bits: up to (2**24 - 1) // 9 = 1864135 limbs, about
+# 1.68e7 digits, four times sweep.FLOOR_TABLE_CAP
+_CHUNK5_TALLY = (_CHUNK_TALLY[:100, None] + _CHUNK_TALLY[None, :]).ravel()
+_TALLY_MAX_LIMBS = (2**24 - 1) // 9
+# per 3-digit chunk c, the positions of its nonzero digits, lowest first,
+# plus 0, 3 and 6: the chunks of a limb, low to high, at their offsets
+_CHUNK_POSITIONS = tuple(
+    tuple(subsets[m] for m in _CHUNK_MASK)
+    for subsets in [
+        [tuple(off + j for j in range(3) if m >> j & 1) for m in range(8)] for off in (0, 3, 6)
+    ]
 )
-# a packed sum stays exact while the digit sum, at most 81 per limb,
-# stays below 2**32: up to about 4.77e8 digits (the nonzero count, at
-# most 9 per limb, cannot overflow first)
-_TALLY_MAX_LIMBS = (2**32 - 1) // 81
 # 10**1..10**8; a nonzero limb has as many digits as entries <= it, plus one
 _POW10 = 10 ** np.arange(1, LIMB_DIGITS, dtype=np.int64)
 # big-endian place values of one limb, for string parsing
@@ -142,41 +159,44 @@ def digit_scan(x: DecimalNat) -> list[tuple[int, int]]:
 
 
 def digit_tally(x: DecimalNat) -> tuple[int, int]:
-    """(digit sum, number of nonzero digits), read per 3-digit chunk."""
+    """(digit sum, number of nonzero digits), read per 4- and 5-digit chunk."""
     l = x.limbs
     if l.size > _TALLY_MAX_LIMBS:
         raise ValueError(f"{l.size} limbs overflow the packed digit tally")
     # divide and subtract: int64 % costs about three times int64 //
-    hi = l // 1000000
-    low = l - hi * 1000000
-    mid = low // 1000
-    low -= mid * 1000
-    t = _CHUNK_TALLY
-    acc = int(t[low].sum() + t[mid].sum() + t[hi].sum())
-    return acc & 0xFFFFFFFF, acc >> 32
+    hi = l // 100000
+    low = hi * 100000
+    np.subtract(l, low, out=low)
+    t = _CHUNK5_TALLY
+    packed = t[low]
+    packed += t[hi]
+    acc = int(packed.sum())
+    return acc >> 24, acc & 0xFFFFFF
 
 
 def digit_sum(x: DecimalNat) -> int:
     return digit_tally(x)[0]
 
 
-def low_digit_positions(limbs: np.ndarray, nz: np.ndarray, count: int) -> list[int]:
+def low_digit_positions(limbs: Iterable[tuple[int, int]], count: int) -> list[int]:
     """Positions of the lowest nonzero digits, ascending.
 
-    nz lists nonzero limbs, ascending, from the lowest one on; they are
-    expanded whole, one at a time, until at least count positions are in
-    hand or nz runs out.  Each holds a nonzero digit, so nz[:count] is
-    enough.
+    limbs yields (index, value) of nonzero limbs, ascending, from the
+    lowest one on; they are expanded whole, one at a time, until at
+    least count positions are in hand or limbs runs out.  Each holds a
+    nonzero digit, so count of them are enough.
     """
+    p0, p3, p6 = _CHUNK_POSITIONS
     out: list[int] = []
-    idx = nz[:count]
-    for i, v in zip(idx.tolist(), limbs[idx].tolist()):
-        e = LIMB_DIGITS * i
-        while v:
-            v, d = divmod(v, 10)
-            if d:
-                out.append(e)
-            e += 1
+    for i, v in limbs:
+        hi, v = divmod(v, 1000000)
+        mid, v = divmod(v, 1000)
+        local = p0[v] + p3[mid] + p6[hi]
+        if i:
+            e = LIMB_DIGITS * i
+            out += [e + p for p in local]
+        else:
+            out += local
         if len(out) >= count:
             break
     return out

@@ -31,11 +31,23 @@ digits of only a few of them, without losing exactness:
   4**(k-1) because log2(10) < 4; once B_k passes the top position both
   hold for every later digit.  So only e_1..e_K count, K about
   log3 of the digit count, and every nonzero limb holds at least one
-  nonzero digit: the lowest K + 1 nonzero limbs hold them.
+  nonzero digit: the lowest K + 1 nonzero limbs hold them.  And e_k <=
+  B_k implies e_k < 4**(k-1), so one loop decides both, reading
+  4**(k-1) only where e_k > B_k.
+
+What depends only on the floor table is built once per table
+(PositionTable): the whole sequence B_k up to the table's end, which a
+row cuts at its top digit by bisection, the powers 4**(k-1) beside it,
+and the table's first 64 entries as Python ints, which are all that
+the pairs in limb 0 read.  A sweep builds it with its table and again
+whenever the table grows.  A row then expands the few limbs it needs
+three digits at a time, from a table of the nonzero positions of every
+3-digit chunk.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
@@ -50,38 +62,84 @@ class PositionChecks(NamedTuple):
     bound_ok: bool  # e_k <= B_k against the iterated bound table
 
 
-def check_positions(limbs: np.ndarray, gap_values: np.ndarray) -> PositionChecks:
+# gap[:_HEAD] is kept as a Python list: the first nine pairs read
+# gap[a + 1] at their lower digit a, below 63 unless the lowest seven
+# limbs hold fewer than nine nonzero digits; past it the array is read
+_HEAD = 64
+
+
+class PositionTable:
+    """What check_positions reads of one floor table, built once per table.
+
+    gap is floor_log2_pow10(xmax).  bounds holds B_1 = 0, B_k =
+    gap[B_{k-1} + 1] for as long as the table reaches, so its last entry
+    is at least xmax; fours holds 4**(k-1) beside each; head holds
+    gap[:_HEAD] as Python ints.
+    """
+
+    __slots__ = ("gap", "bounds", "fours", "head")
+
+    def __init__(self, gap: np.ndarray):
+        bounds = [0]
+        while bounds[-1] + 1 < gap.size:
+            bounds.append(int(gap[bounds[-1] + 1]))
+        self.gap = gap
+        self.bounds = bounds
+        self.fours = tuple(4**k for k in range(len(bounds)))
+        self.head = gap[:_HEAD].tolist()
+
+
+def check_positions(
+    limbs: np.ndarray, gap_values: np.ndarray, table: PositionTable | None = None
+) -> PositionChecks:
     """Position checks on the nonzero digits of one value.
 
     limbs are the value's canonical base-10**9 limbs, lowest first;
     gap_values[x] is floor(x * log2(10)) and must cover index
-    digit_count.  See the module docstring for why the digits of a few
-    limbs decide every check.
+    digit_count.  table, when given, is PositionTable(gap_values),
+    which a caller checking many values builds once.  See the module
+    docstring for why the digits of a few limbs decide every check.
     """
+    if table is None:
+        table = PositionTable(gap_values)
+    size = limbs.size
     count = np.count_nonzero(limbs)
     if count == 0:
         raise ValueError("no nonzero digits")
-    last = LIMB_DIGITS * (limbs.size - 1) + len(str(int(limbs[-1]))) - 1
-    bounds = [0]  # B_1 = 0, B_k = gap_values[B_{k-1} + 1], to the first past last
-    while bounds[-1] <= last:
-        bounds.append(int(gap_values[bounds[-1] + 1]))
-    # the walks read e_k for k <= len(bounds); limb 0 holds at most nine
-    # digits, so the pairs whose lower digit lies there are among the
-    # first nine pairs
-    need = max(len(bounds), LIMB_DIGITS + 1)
-    if count < limbs.size:
+    last = LIMB_DIGITS * (size - 1) + len(str(int(limbs[-1]))) - 1
+    if last >= table.gap.size - 1:
+        raise ValueError(f"floor table of {table.gap.size} entries stops below {last + 2}")
+    bounds = table.bounds
+    # the walks read e_k for k up to the first B_k past last, and limb 0
+    # holds at most nine digits, so the pairs whose lower digit lies
+    # there are among the first nine pairs
+    need = max(bisect_right(bounds, last) + 1, LIMB_DIGITS + 1)
+    if count < size:
         nz = np.flatnonzero(limbs)
+        idx = nz[:need]
+        low = low_digit_positions(zip(idx.tolist(), limbs[idx].tolist()), need)
     else:  # no zero limb
-        nz = np.arange(min(need, limbs.size))
-    low = low_digit_positions(limbs, nz, need)
-    bound_ok = all(e <= b for e, b in zip(low, bounds))
-    fourpow_ok = all(e < 4**k for k, e in zip(range(len(bounds)), low))
-    gap_ok = all(b <= gap_values[a + 1] for a, b in zip(low, low[1 : LIMB_DIGITS + 1]))
-    if gap_ok and count < limbs.size - nz[0]:  # a zero limb between nonzero ones
+        low = low_digit_positions(enumerate(limbs[:need].tolist()), need)
+    # B_k < 4**(k-1), so e_k <= B_k passes both; past the first B_k
+    # above last every e_k passes both, so zip may run past it
+    bound_ok = fourpow_ok = True
+    for e, b, f in zip(low, bounds, table.fours):
+        if e > b:
+            bound_ok = False
+            if e >= f:
+                fourpow_ok = False
+                break
+    gap_ok = True
+    head, gap = table.head, table.gap
+    for a, b in zip(low, low[1 : LIMB_DIGITS + 1]):
+        if b > (head[a + 1] if a + 1 < _HEAD else gap[a + 1]):
+            gap_ok = False
+            break
+    if gap_ok and count < size and count < size - nz[0]:  # a zero limb between nonzero ones
         jump = np.flatnonzero(np.diff(nz) > 1)
         _, below = digit_span(limbs, nz[jump])
         above, _ = digit_span(limbs, nz[jump + 1])
-        gap_ok = bool(np.all(above <= gap_values[below + 1]))
+        gap_ok = bool(np.all(above <= gap[below + 1]))
     return PositionChecks(gap_ok, fourpow_ok, bound_ok)
 
 

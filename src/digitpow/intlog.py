@@ -88,17 +88,25 @@ def digit_sum_exceeds_log4(n: int, s: int) -> bool:
     return 2 * s >= n.bit_length()
 
 
+def digit_count_range(dc: int, gap: np.ndarray) -> tuple[int, int]:
+    """(lo, hi) such that 2**n has dc digits exactly when lo <= n <= hi.
+
+    gap is floor_log2_pow10(xmax) for some xmax >= dc.  Both sides of
+    10**(dc-1) <= 2**n < 10**dc reduce to bit-length comparisons because
+    10**x is never a power of two; the range is empty for dc < 1.
+    """
+    if dc < 1:
+        return 1, 0
+    return (int(gap[dc - 1]) + 1 if dc > 1 else 0), int(gap[dc])
+
+
 def digit_count_formula_check(n: int, dc: int, gap: np.ndarray) -> bool:
     """Exact check that 2**n has dc digits: 10**(dc-1) <= 2**n < 10**dc.
 
-    gap is floor_log2_pow10(xmax) for some xmax >= dc.  Both sides
-    reduce to bit-length comparisons because 10**x is never a power of
-    two; equivalent to dc == floor(n * log10 2) + 1.
+    gap is as for digit_count_range; equivalent to dc == floor(n *
+    log10 2) + 1.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if dc < 1:
-        return False
-    if dc > 1 and n < int(gap[dc - 1]) + 1:
-        return False
-    return n <= int(gap[dc])
+    lo, hi = digit_count_range(dc, gap)
+    return lo <= n <= hi

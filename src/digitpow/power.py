@@ -83,6 +83,20 @@ class PowerState:
             self.value = mul_small(self.value, self.multiplier)
         self.n += 1
 
+    def step_forward(self, steps: int) -> None:
+        """Take `steps` steps, by the largest a**j below the limb base per
+        multiplication, the same j as step_back's, then one at a time."""
+        if steps < 0:
+            raise ValueError(f"cannot step forward {steps} steps")
+        a = self.multiplier
+        j = _max_exponent_below(a, LIMB_BASE)
+        while steps >= j:
+            self.value = mul_small(self.value, a**j)
+            self.n += j
+            steps -= j
+        for _ in range(steps):
+            self.step()
+
     def step_back(self, steps: int = 1) -> None:
         """Undo `steps` steps exactly; raises CheckpointError naming the
         first n whose value does not divide, which only a corrupt start

@@ -20,11 +20,16 @@ converted straight from the limbs, decides every k.
 A band of rows is one forward walk of the chain.  It first walks its
 start state, exactly and in place, to just below the first n that its
 first row needs: with an output stream that is the first n in that
-row's running_mean window, reached by stepping back or forward with no
-digit work; the walk then pushes the rows below the band into the
-window and checks and emits the rows in it.  So a resumed run writes
-the same bytes as an uninterrupted one, for any window.  The mod-9
-residue of a row is pow(multiplier, n, 9).
+row's running_mean window, reached with no digit work by stepping back,
+or forward by the largest multiplier**j below the limb base per
+multiplication (PowerState.step_forward); the walk then pushes the
+rows below the band into the window and checks and emits the rows in
+it.  So a resumed run writes the same bytes as an uninterrupted one,
+for any window.  A row's digit sum is checked mod 9 against
+multiplier**n mod 9, carried from row to row from pow(multiplier, n, 9)
+at the band's first n, so it comes from n and never from the value.
+The digit-count formula's range of n is reread only when the digit
+count changes.
 
 Every sweep is sharded: the emitted rows are cut into `jobs`
 contiguous bands of equal cost (shards.plan_shards), and once the start
@@ -43,7 +48,8 @@ window's exact Fractions (_RatioWindow).  The exact mean of a 100-row
 window has a denominator of hundreds of digits: pushing a row and
 rendering its two cells took about 21 us that way and takes about 4 us
 now (3000 rows near n = 80000, shared 2-vCPU Xeon, Python 3.11), beside
-70-110 us for the rest of a stats row.
+about 60 us for the rest of a stats row there, best of five one-process
+runs: 19 us for digit_tally, 7 us for check_positions, 13 us doubling.
 
 Checkpoints fall on the grid (n - start n) % checkpoint_every == 0,
 or `checkpoint_seconds` after a band's start or its last checkpoint,
@@ -66,12 +72,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Callable
 
 from .bignum import digit_count, digit_sum, digit_tally
-from .checks import check_positions, scan_splits
-from .intlog import digit_count_formula_check, digit_sum_exceeds_log4, floor_log2_pow10
+from .checks import PositionTable, check_positions, scan_splits
+from .intlog import digit_count_range, digit_sum_exceeds_log4, floor_log2_pow10
 from .power import PowerState, load_checkpoint, save_checkpoint, validate_multiplier
 from .ratios import render_fraction, render_quotient, render_scaled
 from .shards import CAN_FORK, Forked, default_jobs, plan_shards
@@ -92,6 +99,7 @@ CHECK_NAMES = (
     "digitcount_ok",
     "mod9_ok",
 )
+_verdicts = attrgetter(*CHECK_NAMES)
 
 
 @dataclass
@@ -285,8 +293,8 @@ class _Tally:
         self.rows += 1
         if self.records is not None:
             self.records.append(rec)
-        bad = rec.failed_checks()
-        if bad:
+        if False in _verdicts(rec):
+            bad = rec.failed_checks()
             for name in bad:
                 self.check_failures[name] = self.check_failures.get(name, 0) + 1
             self.failure_line(f"n={rec.n}: failed {','.join(bad)}")
@@ -308,8 +316,8 @@ class _Tally:
 def _walk_to(state: PowerState, n: int) -> None:
     if state.n > n:
         state.step_back(state.n - n)
-    while state.n < n:
-        state.step()
+    else:
+        state.step_forward(n - state.n)
 
 
 def _checkpoint_name(n: int) -> str:
@@ -359,7 +367,10 @@ def run_sweep(
         under ckpt_to, in n order."""
         band_lo, band_hi = band
         table = gap
+        positions = PositionTable(gap) if is_two else None
         window = _RatioWindow(cfg.window)
+        row_text = _ROW_TEXT[fmt] if out is not None else None
+        every = cfg.checkpoint_every
         saved: list[str] = []
         last_t = time.monotonic()
 
@@ -373,24 +384,32 @@ def run_sweep(
             # with an output stream, row band_lo's window covers first..band_lo
             first = max(1, band_lo - cfg.window + 1) if out is not None else band_lo
             _walk_to(state, first - 1)
+            a = state.multiplier
+            r9 = pow(a, first - 1, 9)  # a**n mod 9, from n alone
+            dc_seen, dc_lo, dc_hi = 0, 1, 0  # 2**n has dc_seen digits for n in dc_lo..dc_hi
             for n in range(first, band_hi + 1):
                 state.step()
+                r9 = r9 * a % 9
                 if n < band_lo:
                     window.push(n, digit_sum(state.value))
                     continue
-                s, m = digit_tally(state.value)
-                dc = digit_count(state.value)
-                mod9_ok = s % 9 == pow(state.multiplier, n, 9)
+                value = state.value
+                s, m = digit_tally(value)
+                dc = digit_count(value)
+                mod9_ok = s % 9 == r9
 
                 theorem_ok = lemma2_ok = gap_ok = fourpow_ok = ekbound_ok = dcf_ok = None
                 checked = 0
                 if is_two:
                     if dc >= table.size:  # past the cap, or a corrupt value
                         table = floor_log2_pow10(2 * dc)
+                        positions = PositionTable(table)
+                    if dc != dc_seen:
+                        dc_seen = dc
+                        dc_lo, dc_hi = digit_count_range(dc, table)
                     theorem_ok = digit_sum_exceeds_log4(n, s)
-                    dcf_ok = digit_count_formula_check(n, dc, table)
-                    pc = check_positions(state.value.limbs, table)
-                    gap_ok, fourpow_ok, ekbound_ok = pc.gap_ok, pc.fourpow_ok, pc.bound_ok
+                    dcf_ok = dc_lo <= n <= dc_hi
+                    gap_ok, fourpow_ok, ekbound_ok = check_positions(value.limbs, table, positions)
                     if splits:
                         checked, failed_ks = scan_splits(state, min(n, dc - 1))
                         lemma2_ok = not failed_ks
@@ -402,10 +421,10 @@ def run_sweep(
                     ekbound_ok, dcf_ok, mod9_ok, checked,
                 )
                 tally.add(rec)
-                if out is not None:
-                    out.write(_ROW_TEXT[fmt](rec, *window.push(n, s)))
+                if row_text is not None:
+                    out.write(row_text(rec, *window.push(n, s)))
                 if ckpt_to is not None and (
-                    (n - start_n) % cfg.checkpoint_every == 0
+                    (n - start_n) % every == 0
                     or time.monotonic() - last_t >= cfg.checkpoint_seconds
                 ):
                     save()

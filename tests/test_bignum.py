@@ -139,13 +139,37 @@ def test_digit_scan():
 
 
 def test_digit_tally_limb_cap(monkeypatch):
-    # the packed sum is exact up to _TALLY_MAX_LIMBS limbs and refused past it
-    assert 81 * bignum._TALLY_MAX_LIMBS < 2**32 <= 81 * (bignum._TALLY_MAX_LIMBS + 1)
+    # the nonzero count, at most 9 per limb, fills a 24-bit field: the
+    # packed total is exact up to _TALLY_MAX_LIMBS limbs and refused past it
+    cap = bignum._TALLY_MAX_LIMBS
+    assert 9 * cap < 2**24 <= 9 * (cap + 1)
+    # the widest entry, and two of them summed per limb, fit int32
+    t = bignum._CHUNK5_TALLY
+    assert t.dtype == np.int32 and t.size == 10**5
+    assert int(t.max()) == 5 | 45 << 24 and 2 * int(t.max()) < 2**31
+    # a full-width value at the cap: every limb 999999999
+    full = dp.DecimalNat(np.full(cap, 10**9 - 1, dtype=np.int64))
+    assert dp.digit_tally(full) == (81 * cap, 9 * cap)
+    over = dp.DecimalNat(np.full(cap + 1, 10**9 - 1, dtype=np.int64))
+    with pytest.raises(ValueError, match="overflow"):
+        dp.digit_tally(over)
     x = dp.from_small(999_999_999 * (10**9 + 1))
     assert dp.digit_tally(x) == (162, 18)
     monkeypatch.setattr(bignum, "_TALLY_MAX_LIMBS", 1)
     with pytest.raises(ValueError):
         dp.digit_tally(x)
+
+
+# limbs at the 4 + 5 digit chunk boundary, the widest limb, and zero limbs
+chunk_limbs = st.sampled_from([0, 1, 9, 99999, 100000, 100001, 10**9 - 1, 999900000,
+                               99999 * 10**4, 10**8, 500000000, 4567800000 // 10])
+
+
+@given(st.lists(chunk_limbs, min_size=1, max_size=12), st.integers(1, 10**9 - 1))
+def test_digit_tally_chunk_boundaries(low, top):
+    x = dp.DecimalNat(np.array([*low, top], dtype=np.int64))
+    digits = str(to_int(x))
+    assert dp.digit_tally(x) == (sum(map(int, digits)), len(digits) - digits.count("0"))
 
 
 @given(naturals)

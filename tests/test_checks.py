@@ -3,7 +3,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import digitpow as dp
-from digitpow.checks import check_positions
+from digitpow.checks import PositionTable, check_positions
 from oracles import (
     decompose,
     four_power_bound_check,
@@ -256,6 +256,48 @@ def test_position_checks_match_oracles(v):
     assert result.gap_ok == all(gap_inequality_check(v))
     assert result.fourpow_ok == four_power_bound_check(v)
     assert result.bound_ok == iterated_bound_check(v)
+
+
+# one table for every value, as a sweep has it: larger than any value
+# needs, with B_k running past every value's top digit
+SHARED_GAP = dp.floor_log2_pow10(5000)
+SHARED_TABLE = PositionTable(SHARED_GAP)
+# lowest nonzero digits past gap's first 64 entries, which the table
+# holds as a Python list; gap[63] = 209, gap[71] = 235
+HIGH_PAIRS = [10**70 + 10**75, 10**70 + 10**235, 10**70 + 10**236, 10**63 + 10**300,
+              10**64 + 10**65 + 10**400, 10**62 + 10**209, 10**62 + 10**210,
+              10**9 * (10**54 + 10**80)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(position_values, st.sampled_from(HIGH_PAIRS)))
+def test_position_table_gives_the_same_verdicts(v):
+    x = dp.from_decimal_string(str(v))
+    gap = dp.floor_log2_pow10(dp.digit_count(x))
+    verdicts = check_positions(x.limbs, gap)
+    assert check_positions(x.limbs, gap, PositionTable(gap)) == verdicts
+    assert check_positions(x.limbs, SHARED_GAP, SHARED_TABLE) == verdicts
+
+
+@pytest.mark.parametrize("v", HIGH_PAIRS)
+def test_position_checks_past_the_table_head(v):
+    r = check_positions(dp.from_decimal_string(str(v)).limbs, SHARED_GAP, SHARED_TABLE)
+    assert r.gap_ok == all(gap_inequality_check(v))
+    assert r.fourpow_ok == four_power_bound_check(v) is False
+    assert r.bound_ok == iterated_bound_check(v) is False
+
+
+def test_position_table_covers_the_value():
+    # a table must reach index digit_count, with or without the view
+    x = dp.from_decimal_string(str(2**100))
+    gap = dp.floor_log2_pow10(dp.digit_count(x) - 1)
+    with pytest.raises(ValueError, match="floor table"):
+        check_positions(x.limbs, gap)
+    with pytest.raises(ValueError, match="floor table"):
+        check_positions(x.limbs, gap, PositionTable(gap))
+    table = PositionTable(dp.floor_log2_pow10(100))
+    assert table.bounds == [0, 3, 13, 46, 156]
+    assert table.fours == (1, 4, 16, 64, 256) and len(table.head) == 64
 
 
 def test_gap_check_across_zero_limbs():

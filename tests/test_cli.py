@@ -192,6 +192,22 @@ def test_sweep_resume_detects_tampered_chain(tmp_path, monkeypatch):
     assert any(rec.lemma2_ok is False for rec in records)
 
 
+@pytest.mark.parametrize("multiplier,jobs", [(2, 1), (2, 3), (7, 1), (7, 3)])
+def test_sweep_mod9_fails_on_every_row_of_a_wrong_chain(tmp_path, monkeypatch, multiplier, jobs):
+    # 2 * a**n is never a**n mod 9 when a is prime to 3: the residue each
+    # row is compared with comes from n, in every band and after every
+    # walk, so each row's value fails it
+    resume_from(monkeypatch, 30, 2 * multiplier**30, multiplier)
+    summary, records = dp.run_sweep(
+        dp.SweepConfig(max_n=130, window=5, emit_range=(41, 130), split_checks="off",
+                       start_checkpoint=tmp_path / "unread.txt", jobs=jobs),
+        out=io.StringIO(), collect=True,
+    )
+    assert summary.jobs == jobs and len(records) == 90
+    assert summary.check_failures["mod9_ok"] == 90
+    assert all(rec.mod9_ok is False for rec in records)
+
+
 @pytest.mark.parametrize("n,max_n", [(0, 1), (10, 11)])
 def test_sweep_resume_with_an_extra_digit(tmp_path, monkeypatch, n, max_n):
     # 10 * 2**n: one digit more than the floor table sized from max_n covers
@@ -209,6 +225,31 @@ def test_sweep_floor_table_grows_past_cap(monkeypatch):
     monkeypatch.setattr(digitpow.sweep, "FLOOR_TABLE_CAP", 1)
     summary, capped = run_csv(dp.SweepConfig(max_n=200, window=3))
     assert summary.ok and capped == uncapped
+    # in one process: every table, the first and each regrowth, gets its
+    # own position view, and each row reads the view of its own table
+    sweep = digitpow.sweep
+    tables, views = [], []
+    real_floor, real_view = sweep.floor_log2_pow10, sweep.PositionTable
+    real_check = sweep.check_positions
+
+    def floor(xmax):
+        tables.append(real_floor(xmax))
+        return tables[-1]
+
+    def view(gap):
+        views.append(real_view(gap))
+        return views[-1]
+
+    def check(limbs, gap, table):
+        assert table is views[-1] and table.gap is gap is tables[-1]
+        return real_check(limbs, gap, table)
+
+    monkeypatch.setattr(sweep, "floor_log2_pow10", floor)
+    monkeypatch.setattr(sweep, "PositionTable", view)
+    monkeypatch.setattr(sweep, "check_positions", check)
+    summary, one = run_csv(dp.SweepConfig(max_n=200, window=3, jobs=1))
+    assert summary.ok and one == uncapped
+    assert len(tables) > 3 and [id(v.gap) for v in views] == [id(t) for t in tables]
 
 
 @pytest.mark.parametrize("window,multiplier,fmt", [

@@ -66,6 +66,19 @@ def test_step_back_many(multiplier):
         state.step_back(4)
 
 
+@pytest.mark.parametrize("multiplier", [2, 3, 7, 20, 99])
+def test_step_forward_matches_single_steps(multiplier):
+    # 2**29 and 99**4 per multiplication, then the remainder one at a time
+    for start, steps in ((0, 0), (0, 1), (5, 28), (5, 29), (1, 100)):
+        state = dp.PowerState(start, dp.from_decimal_string(oracle_value_str(start, multiplier)),
+                              multiplier)
+        state.step_forward(steps)
+        assert state.n == start + steps
+        assert dp.to_decimal_string(state.value) == oracle_value_str(start + steps, multiplier)
+    with pytest.raises(ValueError):
+        dp.PowerState.start(multiplier).step_forward(-1)
+
+
 @pytest.mark.parametrize("multiplier,good", [(3, 5), (3, 20), (7, 1), (2, 4)])
 def test_step_back_names_first_bad_n(multiplier, good):
     # divisible by exactly multiplier**good: the value at n = 40 - good is
