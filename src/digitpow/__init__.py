@@ -15,7 +15,7 @@ from .bignum import (
     to_decimal_string,
     zero,
 )
-from .checks import scan_splits
+from .checks import split_verdicts
 from .intlog import (
     bound_table,
     digit_count_formula_check,

@@ -287,13 +287,44 @@ def trailing_zero_digits(x: DecimalNat) -> int:
     l = x.limbs
     if l.size == 0:
         raise ValueError("trailing zero digits of zero are undefined")
-    i = int(np.flatnonzero(l)[0])
-    low = int(l[i])
+    i, low = 0, int(l[0])
+    if not low:  # limb 0 is nonzero for every power of two
+        i = int(np.flatnonzero(l)[0])
+        low = int(l[i])
     t = 0
     while low % 10 == 0:
         low //= 10
         t += 1
     return LIMB_DIGITS * i + t
+
+
+def is_doubled(old: np.ndarray, new: np.ndarray) -> bool:
+    """Whether the limbs `new` hold twice the value of the limbs `old`.
+
+    A certificate, not a recomputation: with t_i = 2 * old_i - new_i
+    (both padded with zero limbs to a common length M) and candidate
+    carries c_0 = 0, c_{i+1} = [t_i >= LIMB_BASE - 1], it requires
+    c_M = 0 and t_i + c_i == LIMB_BASE * c_{i+1} for every i.  The sum
+    of (t_i + c_i - LIMB_BASE * c_{i+1}) * LIMB_BASE**i telescopes to
+    2 * value(old) - value(new) + c_0 - c_M * LIMB_BASE**M, so the
+    equations prove the identity for any integers c_i, whatever carries
+    double_in_place computed.  Conversely, when every limb lies in
+    0..LIMB_BASE-1 and the identity holds, the true carries are 0 or 1
+    and t_i is -c_i or LIMB_BASE - c_i, so the candidates are the true
+    carries and the certificate holds.  Limbs may be non-canonical as
+    long as they stay within +-2**61, so that t does not overflow int64.
+    Comparisons only, no division.
+    """
+    size = max(old.size, new.size)
+    t = np.zeros(size, dtype=_LIMB_DTYPE)
+    np.add(old, old, out=t[: old.size])
+    t[: new.size] -= new
+    carry = t >= LIMB_BASE - 1  # c_{i+1}
+    if size and carry[-1]:
+        return False
+    t[1:] += carry[:-1]
+    t -= carry * LIMB_BASE
+    return not t.any()
 
 
 # limbs per leaf of the radix conversion below

@@ -43,17 +43,67 @@ the pairs in limb 0 read.  A sweep builds it with its table and again
 whenever the table grows.  A row then expands the few limbs it needs
 three digits at a time, from a table of the nonzero positions of every
 3-digit chunk.
+
+The split bound forms no low part A = x mod 10**k of a value x > 0:
+
+* 2**k divides 10**k, so A = x (mod 2**k), and 2**k | A exactly when
+  k <= v2(x);
+* A > 0 exactly when k exceeds the number of trailing zero digits of x;
+* a positive multiple of 2**k is at least 2**k, so A >= 2**k follows
+  from the two above.
+
+So for kmax <= digit_count-1 the failed positions are 1..zeros and
+v2+1..kmax, disjoint because 10**zeros | x makes zeros <= v2.  None of
+this assumes x is a power of two, so they are those the split oracle
+in tests/oracles.py, which forms each A directly, reports.  The
+trailing zeros are read from the row's own limbs; v2 needs a radix
+conversion, x mod 2**K (bignum.mod_pow2), which is almost all of a
+row's split cost.
+
+split_verdicts shares one conversion among consecutive rows
+x_0, ..., x_l of a doubling chain.  bignum.is_doubled certifies each
+link x_{j+1} == 2 * x_j from the limbs alone: with t_i = 2 * old_i -
+new_i and carries c_0 = 0, c_{i+1} = [t_i >= 10**9 - 1], the equations
+t_i + c_i == 10**9 * c_{i+1} and c_M = 0 make
+sum((t_i + c_i - 10**9 * c_{i+1}) * 10**(9i)) telescope to
+2 * old - new, so they prove the identity for any integers c_i, not
+only for the carries the doubling computed.  Then x_l = 2**(l-j) * x_j
+and v2(x_j) = v2(x_l) - (l - j) for nonzero values.  With
+b = max_j(kmax_j + l - j) and r = x_l mod 2**b: r = 0 puts every
+v2(x_j) at or above kmax_j, and otherwise v2(x_j) = v2(r) - (l - j)
+exactly.  A link that fails its certificate cuts the rows there, and
+each piece anchors at its own last row, so a broken chain costs one
+conversion per piece and still gets exact verdicts; a zero anchor
+sends its piece row by row.
+
+The anchor is the last row, never the first.  The sweep holds the limb
+arrays that each row's other checks read and decides the batch when
+its last row is in: every link is certified, and r converted, from
+the arrays as they are then.  A value changed at any moment after its
+own checks either breaks a link, and is then decided alone from what
+it holds, or, as the anchor, shows in r.  A first-row anchor would be
+converted when the batch opens, and the later rows' verdicts would
+rest on that early read: a value changed between two steps is doubled
+from its changed self, so a link certified at the next step passes,
+and the change never meets the conversion.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bignum import LIMB_DIGITS, digit_span, low_digit_positions, mod_pow2, trailing_zero_digits
-from .power import PowerState
+from .bignum import (
+    LIMB_DIGITS,
+    DecimalNat,
+    digit_span,
+    is_doubled,
+    low_digit_positions,
+    mod_pow2,
+    trailing_zero_digits,
+)
 
 
 class PositionChecks(NamedTuple):
@@ -143,34 +193,46 @@ def check_positions(
     return PositionChecks(gap_ok, fourpow_ok, bound_ok)
 
 
-def scan_splits(state: PowerState, kmax: int) -> tuple[int, list[int]]:
-    """Split-bound check at every k in 1..kmax; returns (kmax, failed positions).
+def split_verdicts(rows: Sequence[tuple[np.ndarray, int]]) -> list[tuple[int, list[int]]]:
+    """Split-bound verdicts of consecutive rows of a doubling chain.
 
-    kmax must be at most digit_count-1 so the high part is positive;
-    the caller derives it from the digit count.  No low part
-    A = x mod 10**k is formed: for any positive x and k >= 1,
-
-    * 2**k divides 10**k, so A = x (mod 2**k), and 2**k | A exactly
-      when k <= v2(x);
-    * A > 0 exactly when k exceeds the number of trailing zero digits
-      of x;
-    * a positive multiple of 2**k is at least 2**k, so A >= 2**k
-      follows from the two above.
-
-    So the failed positions are 1..zeros and v2+1..kmax, disjoint
-    because 10**zeros | x makes zeros <= v2.  None of this assumes x is
-    a power of two, so they are those the split oracle in
-    tests/oracles.py, which forms each A directly, reports.  The only
-    big-integer work is x mod 2**kmax.
+    rows holds (limbs, kmax) for rows j = 0..l in step order, where
+    limbs are row j's base-10**9 limbs and kmax its highest split
+    position, at most digit_count-1 so that the high part is positive.
+    Returns (kmax, failed positions) per row, each decided exactly from
+    the row's own value: the rows need not hold powers of two, nor be a
+    chain, and a batch of one row is the check of one value.  See the
+    module docstring for how one conversion decides them all.
     """
-    if state.multiplier != 2:
-        raise ValueError("the split bound applies to powers of two")
-    if kmax < 1:
-        return 0, []
-    x = state.value
-    if x.is_zero():
-        return kmax, list(range(1, kmax + 1))  # A = 0 at every position
-    low = mod_pow2(x, kmax)
-    v2 = (low & -low).bit_length() - 1 if low else kmax
-    zeros = trailing_zero_digits(x)
-    return kmax, [*range(1, min(zeros, kmax) + 1), *range(v2 + 1, kmax + 1)]
+    out: list[tuple[int, list[int]]] = []
+    start = 0
+    for end in range(1, len(rows) + 1):
+        if end == len(rows) or not is_doubled(rows[end - 1][0], rows[end][0]):
+            out += _chain_verdicts(rows[start:end])
+            start = end
+    return out
+
+
+def _chain_verdicts(rows: Sequence[tuple[np.ndarray, int]]) -> list[tuple[int, list[int]]]:
+    """split_verdicts of rows each certified twice the one before."""
+    last = len(rows) - 1
+    anchor = rows[-1][0]
+    if last and anchor.size == 0:  # a zero chain: row by row
+        return [v for row in rows for v in _chain_verdicts([row])]
+    # x_l = 2**(l-j) * x_j, so v2(x_j) >= kmax_j exactly when
+    # 2**(kmax_j + l - j) divides x_l
+    bits = max((k + last - j for j, (_, k) in enumerate(rows) if k >= 1), default=0)
+    r = mod_pow2(DecimalNat(anchor), bits)
+    v2_anchor = (r & -r).bit_length() - 1 if r else bits
+    out: list[tuple[int, list[int]]] = []
+    for j, (limbs, kmax) in enumerate(rows):
+        if kmax < 1:
+            out.append((0, []))
+        elif limbs.size == 0:
+            out.append((kmax, list(range(1, kmax + 1))))  # A = 0 at every position
+        else:
+            v2 = min(v2_anchor - (last - j), kmax)
+            zeros = trailing_zero_digits(DecimalNat(limbs))
+            out.append((kmax, [*range(1, min(zeros, kmax) + 1), *range(v2 + 1, kmax + 1)]))
+    return out
+

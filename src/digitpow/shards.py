@@ -1,11 +1,15 @@
 """Cutting a sweep's rows into bands and running bands in forked processes.
 
 `plan_shards` cuts the rows at equal integrals of a row's cost, not at
-equal row counts.  A row that checks splits costs about n**1.3, its
-split checks' growth (scan_splits measured at n = 1e4, 5e4 and 9.8e4).
-A row that checks none, a stats row or a row of another multiplier,
-costs about n + STATS_ROW_BASE: its digit work grows as n, and a fixed
-per-row cost is as large as that work at n = 50000.
+equal row counts.  A row costs about n + ROW_BASE: its digit work, and
+since the split verdicts share one radix conversion per batch
+(checks.split_verdicts) its split work too, grows about as n below
+n = 1e5, and a fixed per-row cost is as large as that work at
+n = ROW_BASE.  One model serves every sweep: timed side by side, the
+two bands of a sharded n = 1..100000 sweep cut by it (at 64340) ended
+within 5% of each other for verify (child/parent 1.03, 1.05) and
+within 15% for stats (0.85, 0.91).  Fitted apart, verify's bands
+balance near 66500 and stats' near 61803.
 
 `Forked` runs one piece of work in a child made by os.fork, not by a
 spawned interpreter: the child inherits the loaded and verified start
@@ -24,10 +28,9 @@ import signal
 from typing import Callable
 
 CAN_FORK = hasattr(os, "fork")
-SPLIT_COST_EXPONENT = 1.3
-# fitted to the times of the two bands of a sharded n = 1..100000 stats
-# sweep on a shared 2-vCPU Xeon
-STATS_ROW_BASE = 50_000
+# fitted to the band times of sharded n = 1..100000 verify and stats
+# sweeps on a shared 2-vCPU Xeon
+ROW_BASE = 30_000
 
 
 def default_jobs() -> int:
@@ -39,23 +42,17 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def _work(x: float, splits: bool) -> float:
+def _work(x: float) -> float:
     """The cost of rows 1..x, up to a constant factor."""
-    if splits:
-        p = SPLIT_COST_EXPONENT + 1
-        return x**p / p
-    return x * x / 2 + STATS_ROW_BASE * x
+    return x * x / 2 + ROW_BASE * x
 
 
-def _rows_for(work: float, splits: bool) -> float:
-    """The x with _work(x, splits) == work."""
-    if splits:
-        p = SPLIT_COST_EXPONENT + 1
-        return (p * work) ** (1 / p)
-    return math.sqrt(STATS_ROW_BASE**2 + 2 * work) - STATS_ROW_BASE
+def _rows_for(work: float) -> float:
+    """The x with _work(x) == work."""
+    return math.sqrt(ROW_BASE**2 + 2 * work) - ROW_BASE
 
 
-def plan_shards(lo: int, hi: int, jobs: int, splits: bool) -> list[tuple[int, int]]:
+def plan_shards(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
     """Cut rows lo..hi into min(jobs, rows) contiguous, non-empty bands
     of about equal cost, the integral of the row cost over each.
 
@@ -65,10 +62,10 @@ def plan_shards(lo: int, hi: int, jobs: int, splits: bool) -> list[tuple[int, in
     count = min(jobs, hi - lo + 1)
     if count <= 1:
         return [(lo, hi)]
-    a, b = _work(lo - 1, splits), _work(hi, splits)
+    a, b = _work(lo - 1), _work(hi)
     cuts = [lo - 1]
     for i in range(1, count):
-        cut = round(_rows_for(a + (b - a) * i / count, splits))
+        cut = round(_rows_for(a + (b - a) * i / count))
         cuts.append(min(max(cut, cuts[-1] + 1), hi - (count - i)))
     cuts.append(hi)
     return [(c + 1, d) for c, d in zip(cuts, cuts[1:])]

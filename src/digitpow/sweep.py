@@ -14,8 +14,17 @@ The split bound is checked at every position k in 1..digit_count-1
 for every n.  No low part A = x mod 10**k of the value x is formed:
 2**k | A exactly when k <= v2(x), because 2**k | 10**k; A > 0 exactly
 when k exceeds the number of trailing zero digits of x; and a positive
-multiple of 2**k is at least 2**k.  One x mod 2**K, K = digit_count-1,
-converted straight from the limbs, decides every k.
+multiple of 2**k is at least 2**k.  So v2(x) and the trailing zeros
+decide every k, and v2 takes a radix conversion, x mod 2**K, straight
+from the limbs.  Consecutive rows share one: a split row waits, holding
+the limb array its other checks read, until its batch closes, and
+checks.split_verdicts then certifies each row as half the next from
+the limbs and reads every row's v2 off one conversion of the batch's
+last row.  A batch closes at a band's first row, alone, so that row
+leaves as early as it would on its own; then every SPLIT_BATCH rows;
+at every checkpoint row, before the save; and at the band's end.  Its
+rows are then noted, tallied and written in n order, in one write.
+Rows that check no splits leave one by one.
 
 A band of rows is one forward walk of the chain.  It first walks its
 start state, exactly and in place, to just below the first n that its
@@ -38,8 +47,11 @@ the first.  Each child walks its copy of the start state to its own
 band and checks it into a buffer; the parent checks the first band,
 streaming it to `out`, then writes each child's text in n order and
 merges its failure counts, records, failure lines and log lines.  Every
-row is still decided from its own value, and every running_mean from
-its own window, so the output bytes do not depend on `jobs`.
+row is still decided from its own value: its split verdict from the
+limbs it held when its batch closed, tied to the batch's conversion by
+certificates or, where one fails, converted on its own.  Every
+running_mean comes from its own window.  So the output bytes depend
+neither on `jobs` nor on where the batches fall.
 
 A row's running_mean comes from a rolling integer sum of its window's
 terms floor(s * 10**16 / n), which brackets the exact sum; only when a
@@ -76,8 +88,10 @@ from operator import attrgetter
 from pathlib import Path
 from typing import IO, Callable
 
+import numpy as np
+
 from .bignum import digit_count, digit_sum, digit_tally
-from .checks import PositionTable, check_positions, scan_splits
+from .checks import PositionTable, check_positions, split_verdicts
 from .intlog import digit_count_range, digit_sum_exceeds_log4, floor_log2_pow10
 from .power import PowerState, load_checkpoint, save_checkpoint, validate_multiplier
 from .ratios import render_fraction, render_quotient, render_scaled
@@ -89,6 +103,8 @@ MAX_LOGGED_FAILURES = 20
 # largest floor(x * log2 10) array built up front (32 MiB, n up to about
 # 1.26e7); a sweep that gets past it rebuilds at twice its digit count
 FLOOR_TABLE_CAP = 2**22
+# rows whose split verdicts share one radix conversion (checks.split_verdicts)
+SPLIT_BATCH = 16
 
 CHECK_NAMES = (
     "theorem_ok",
@@ -352,7 +368,7 @@ def run_sweep(
     # n // 3 + 1 digits, since log10 2 < 1/3
     gap = floor_log2_pow10(min(cfg.max_n // 3, FLOOR_TABLE_CAP) + 1) if is_two else None
     lo = max(emit_lo, start_n + 1)  # the first row emitted
-    bands = plan_shards(lo, emit_hi, cfg.jobs if CAN_FORK else 1, splits)
+    bands = plan_shards(lo, emit_hi, cfg.jobs if CAN_FORK else 1)
     if out is not None and fmt == "csv":
         out.write(CSV_HEADER + "\n")
     ckpt_dir = Path(cfg.checkpoint_dir) if cfg.checkpoint_dir is not None else None
@@ -387,6 +403,24 @@ def run_sweep(
             a = state.multiplier
             r9 = pow(a, first - 1, 9)  # a**n mod 9, from n alone
             dc_seen, dc_lo, dc_hi = 0, 1, 0  # 2**n has dc_seen digits for n in dc_lo..dc_hi
+            # split rows wait here, each with the limb array its checks read
+            pending: list[tuple[VerificationRecord, np.ndarray, int]] = []
+
+            def close_batch() -> None:
+                verdicts = split_verdicts([(limbs, kmax) for _, limbs, kmax in pending])
+                text = []
+                for (rec, _, _), (checked, failed_ks) in zip(pending, verdicts):
+                    rec.lemma2_checked = checked
+                    rec.lemma2_ok = not failed_ks
+                    if failed_ks:
+                        tally.note(f"FAIL n={rec.n}: split bound failed at k={failed_ks[:10]}")
+                    tally.add(rec)
+                    if row_text is not None:
+                        text.append(row_text(rec, *window.push(rec.n, rec.s)))
+                if text:
+                    out.write("".join(text))
+                pending.clear()
+
             for n in range(first, band_hi + 1):
                 state.step()
                 r9 = r9 * a % 9
@@ -399,7 +433,6 @@ def run_sweep(
                 mod9_ok = s % 9 == r9
 
                 theorem_ok = lemma2_ok = gap_ok = fourpow_ok = ekbound_ok = dcf_ok = None
-                checked = 0
                 if is_two:
                     if dc >= table.size:  # past the cap, or a corrupt value
                         table = floor_log2_pow10(2 * dc)
@@ -410,23 +443,29 @@ def run_sweep(
                     theorem_ok = digit_sum_exceeds_log4(n, s)
                     dcf_ok = dc_lo <= n <= dc_hi
                     gap_ok, fourpow_ok, ekbound_ok = check_positions(value.limbs, table, positions)
-                    if splits:
-                        checked, failed_ks = scan_splits(state, min(n, dc - 1))
-                        lemma2_ok = not failed_ks
-                        if failed_ks:
-                            tally.note(f"FAIL n={n}: split bound failed at k={failed_ks[:10]}")
 
                 rec = VerificationRecord(
                     n, s, dc, m, theorem_ok, lemma2_ok, gap_ok, fourpow_ok,
-                    ekbound_ok, dcf_ok, mod9_ok, checked,
+                    ekbound_ok, dcf_ok, mod9_ok,
                 )
-                tally.add(rec)
-                if row_text is not None:
-                    out.write(row_text(rec, *window.push(n, s)))
-                if ckpt_to is not None and (
+                due = ckpt_to is not None and (
                     (n - start_n) % every == 0
                     or time.monotonic() - last_t >= cfg.checkpoint_seconds
-                ):
+                )
+                if splits:
+                    # the split verdicts wait for the batch's last row;
+                    # stepping rebinds value.limbs, so this array stays
+                    # as the row's checks read it
+                    limbs = value.limbs
+                    limbs.flags.writeable = False
+                    pending.append((rec, limbs, min(n, dc - 1)))
+                    if due or n == band_hi or (n - band_lo) % SPLIT_BATCH == 0:
+                        close_batch()
+                else:
+                    tally.add(rec)
+                    if row_text is not None:
+                        out.write(row_text(rec, *window.push(n, s)))
+                if due:
                     save()
         # the last band ends the run with a checkpoint at max_n
         last_band = band_hi == emit_hi

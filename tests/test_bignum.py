@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 import digitpow as dp
 from digitpow import bignum
-from digitpow.bignum import _pow5, div_small, mod_pow2, to_int, trailing_zero_digits
+from digitpow.bignum import (
+    _pow5,
+    div_small,
+    is_doubled,
+    mod_pow2,
+    to_int,
+    trailing_zero_digits,
+)
 from oracles import is_canonical, oracle_digit_sum, school_mul_small, verify_split
 
 naturals = st.integers(min_value=0, max_value=10**45)
@@ -198,7 +205,7 @@ def test_mul_small_matches_int(v, c):
 
 @given(naturals, st.integers(min_value=0, max_value=60))
 def test_split_reconstruction(v, k):
-    # the two facts about A = v mod 10**k that scan_splits reads from
+    # the two facts about A = v mod 10**k that the split verdicts read from
     # the limbs instead of forming A
     x = make(v)
     low, high, _ = verify_split(v, k)
@@ -241,6 +248,72 @@ def test_mod_pow2_power_cache_stays_logarithmic():
         mod_pow2(x, -1)
     with pytest.raises(ValueError):
         trailing_zero_digits(dp.zero())
+
+
+def test_trailing_zero_digits_limb_boundaries():
+    # limb 0 nonzero is read at once; otherwise the first nonzero limb
+    for v in (1, 7, 10, 2**40, 10**8, 10**9, 3 * 10**9, 10**17, 10**18, 5 * 10**30 + 10**40):
+        s = str(v)
+        assert trailing_zero_digits(make(v)) == len(s) - len(s.rstrip("0")), v
+
+
+def limbs_value(limbs) -> int:
+    return sum(int(v) * 10 ** (9 * i) for i, v in enumerate(limbs))
+
+
+# limbs that make carries: near 0, 5 * 10**8 and 10**9 - 1
+limb_values = st.one_of(
+    st.integers(0, 10**9 - 1),
+    st.sampled_from([0, 1, 499_999_999, 500_000_000, 500_000_001, 999_999_998, 999_999_999]),
+)
+
+
+@given(st.lists(limb_values, max_size=12), st.integers(0, 2), st.integers(0, 2),
+       st.one_of(st.none(), st.tuples(st.integers(0, 13), limb_values)))
+def test_is_doubled_iff_value_doubles(old, pad_old, pad_new, edit):
+    # limbs in 0..10**9-1: the certificate holds exactly when the value
+    # doubles, at length L or L + 1, with top zero limbs on either side
+    new = bignum.from_small(2 * limbs_value(old)).limbs.tolist() + [0] * pad_new
+    old = old + [0] * pad_old
+    if edit is not None:  # one limb of the double set to another value
+        i, v = edit
+        new += [0] * (i + 1 - len(new))
+        new[i] = v
+    o, w = np.array(old, dtype=np.int64), np.array(new, dtype=np.int64)
+    assert is_doubled(o, w) == (limbs_value(new) == 2 * limbs_value(old))
+
+
+@given(st.lists(st.integers(-(2**40), 2**40), max_size=8),
+       st.lists(st.integers(-(2**40), 2**40), max_size=8),
+       st.one_of(st.none(), st.integers(0, 7)))
+def test_is_doubled_is_sound_on_any_limbs(old, new, recarry):
+    # non-canonical limbs: the certificate proves the identity whatever
+    # it is handed, even when it passes a pair it need not pass
+    if recarry is not None:  # the double with value moved between limbs
+        new = bignum.from_small(2 * abs(limbs_value(old))).limbs.tolist() + [0, 0]
+        i = recarry % (len(new) - 1)
+        new[i] += 10**9
+        new[i + 1] -= 1
+    o, w = np.array(old, dtype=np.int64), np.array(new, dtype=np.int64)
+    if is_doubled(o, w):
+        assert limbs_value(new) == 2 * limbs_value(old)
+
+
+def test_is_doubled_examples():
+    a = lambda *limbs: np.array(limbs, dtype=np.int64)
+    assert is_doubled(a(), a())
+    assert is_doubled(a(5), a(10))
+    assert is_doubled(a(999_999_999), a(999_999_998, 1))  # length L + 1
+    assert is_doubled(a(500_000_000), a(10**9))  # a non-canonical limb
+    assert not is_doubled(a(999_999_999), a(999_999_998))  # the top carry dropped
+    assert not is_doubled(a(600_000_000, 7), a(200_000_000, 14))  # a carry dropped
+    assert not is_doubled(a(1), a())
+    x = make(3**4000)
+    y = x.copy()
+    dp.double_in_place(y)
+    assert is_doubled(x.limbs, y.limbs)
+    y.limbs[100] += 1
+    assert not is_doubled(x.limbs, y.limbs)
 
 
 @given(naturals, st.integers(min_value=0, max_value=80))

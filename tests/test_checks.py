@@ -3,7 +3,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import digitpow as dp
-from digitpow.checks import PositionTable, check_positions
+from digitpow.checks import PositionTable, check_positions, split_verdicts
+from digitpow.sweep import SPLIT_BATCH
 from oracles import (
     decompose,
     four_power_bound_check,
@@ -21,6 +22,11 @@ def power_state(n: int, multiplier: int = 2) -> dp.PowerState:
     for _ in range(n):
         st_.step()
     return st_
+
+
+def scan(state: dp.PowerState, kmax: int) -> tuple[int, list[int]]:
+    """The split verdicts of one value: a batch of one row."""
+    return split_verdicts([(state.value.limbs, kmax)])[0]
 
 
 def positions(v: int):
@@ -90,7 +96,7 @@ def test_verify_split_examples():
     assert verify_split(1025, 1).ok is False
     assert verify_split(1000, 2).ok is False
     state = power_state(10)
-    assert dp.scan_splits(state, 2) == (2, [])
+    assert scan(state, 2) == (2, [])
 
 
 @settings(deadline=None)
@@ -109,21 +115,21 @@ def test_scan_matches_verify_split():
         state = power_state(n)
         dc = dp.digit_count(state.value)
         kmax = min(n, dc - 1)
-        assert dp.scan_splits(state, kmax) == (kmax, [])
+        assert scan(state, kmax) == (kmax, [])
         assert all(verify_split(2**n, k).ok for k in range(1, kmax + 1))
 
 
 def test_scan_detects_tampering():
     # a value that is not a power of two fails the divisibility side
     state = dp.PowerState(10, dp.from_small(1025), 2)
-    checked, failed = dp.scan_splits(state, 3)
+    checked, failed = scan(state, 3)
     assert checked == 3
     assert 1 in failed  # low digit 5 is odd
     assert verify_split(1025, 1).ok is False
 
 
 def split_state(v: int) -> dp.PowerState:
-    # n does not enter scan_splits; the value need not be 2**n
+    # n does not enter the split verdicts; the value need not be 2**n
     x = dp.from_decimal_string(str(v))
     return dp.PowerState(dp.digit_count(x), x, 2)
 
@@ -147,18 +153,77 @@ def test_scan_failures_match_verify_split(v, data):
     dc = dp.digit_count(state.value)
     assume(dc >= 2)
     kmax = data.draw(st.integers(1, dc - 1))
-    checked, failed = dp.scan_splits(state, kmax)
+    checked, failed = scan(state, kmax)
     assert checked == kmax
     assert failed == [k for k in range(1, kmax + 1) if verify_split(v, k).ok is False]
 
 
 def test_scan_empty_and_errors():
     state = power_state(10)
-    assert dp.scan_splits(state, 0) == (0, [])
+    assert scan(state, 0) == (0, [])
     # a zero value has low part 0 at every position
-    assert dp.scan_splits(dp.PowerState(3, dp.zero(), 2), 2) == (2, [1, 2])
-    with pytest.raises(ValueError):
-        dp.scan_splits(power_state(5, multiplier=3), 1)
+    assert scan(dp.PowerState(3, dp.zero(), 2), 2) == (2, [1, 2])
+
+
+def split_row(v: int, kmax: int | None = None) -> tuple:
+    """(limbs, kmax) of v as a sweep row holds it; kmax defaults to the
+    highest split position, digit_count - 1."""
+    x = dp.from_decimal_string(str(v))
+    if kmax is None:
+        kmax = dp.digit_count(x) - 1 if v else 3
+    return x.limbs, kmax
+
+
+def one_row(row: tuple) -> tuple[int, list[int]]:
+    return split_verdicts([row])[0]
+
+
+@pytest.mark.parametrize("x0", [3 * 2**40, 5**30, 7 * 10**12, 3**50 * 10**3, 2**50, 0])
+def test_split_verdicts_equal_per_row(x0):
+    # chains x0 * 2**j of non-powers (and of 0, and of a power), every
+    # batch length up to 2 * SPLIT_BATCH, cut at every position: rows
+    # c.. come from the chain of y0, so the link into row c is no
+    # doubling, and each piece must anchor on its own
+    y0 = 3 * x0 if x0 else 1
+    length = 2 * SPLIT_BATCH
+    chain_x = [split_row(x0 << j) for j in range(length)]
+    chain_y = [split_row(y0 << j) for j in range(length)]
+    expect_x = [one_row(row) for row in chain_x]
+    expect_y = [one_row(row) for row in chain_y]
+    for v, (kmax, failed) in zip([x0 << j for j in range(length)], expect_x):
+        if v:  # the per-row route against low parts formed directly
+            assert failed == [k for k in range(1, kmax + 1) if verify_split(v, k).ok is False]
+    for rows in range(1, length + 1):
+        assert split_verdicts(chain_x[:rows]) == expect_x[:rows]
+        for cut in range(1, rows):
+            mixed = chain_x[:cut] + chain_y[cut:rows]
+            assert split_verdicts(mixed) == expect_x[:cut] + expect_y[cut:rows], (rows, cut)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.tuples(st.one_of(st.just(0), split_values), st.integers(1, SPLIT_BATCH)),
+                min_size=1, max_size=4),
+       st.data())
+def test_split_verdicts_equal_per_row_on_any_rows(segments, data):
+    # rows in doubling runs from arbitrary starts (a run may happen to
+    # continue the one before), each with any kmax in 0..digit_count-1
+    rows = []
+    for x0, count in segments:
+        for j in range(count):
+            v = x0 << j
+            top = len(str(v)) - 1 if v else 5
+            rows.append(split_row(v, data.draw(st.integers(0, top))))
+    assert split_verdicts(rows) == [one_row(row) for row in rows]
+
+
+def test_split_verdicts_zero_anchor_and_empty():
+    assert split_verdicts([]) == []
+    zero = split_row(0)
+    assert split_verdicts([zero, zero]) == [(3, [1, 2, 3])] * 2
+    # 2 * 5 * 10**20 is no zero: the link into the zero anchor is cut
+    assert split_verdicts([split_row(5 * 10**20), zero]) == [
+        one_row(split_row(5 * 10**20)), (3, [1, 2, 3])
+    ]
 
 
 @settings(deadline=None)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import digitpow as dp
+import digitpow.power
 import digitpow.sweep
 from digitpow.cli import main
 from digitpow.sweep import CSV_HEADER
@@ -291,6 +292,102 @@ def test_stats_running_mean_fresh_matches_resumed(tmp_path, window, multiplier, 
         else:
             means = [line.split(",")[4] for line in buf.getvalue().splitlines()[1:]]
         assert means == expected, ckpt
+
+
+class CountingOut(io.StringIO):
+    """Records the number of lines of each write."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes: list[int] = []
+
+    def write(self, s: str) -> int:
+        self.writes.append(s.count("\n"))
+        return super().write(s)
+
+
+@pytest.mark.parametrize("split_checks", ["policy", "off"])
+def test_sweep_split_rows_leave_in_batches(tmp_path, monkeypatch, split_checks):
+    # a band's first split row leaves alone; then a batch closes every
+    # SPLIT_BATCH rows, at each checkpoint row before its save, and at
+    # the band's end.  Rows that check no splits leave one by one
+    assert digitpow.sweep.SPLIT_BATCH == 16
+    out = CountingOut()
+    saves = []
+    real_save = digitpow.sweep.save_checkpoint
+
+    def save(state, path):
+        saves.append((state.n, out.getvalue().count("\n") - 1))  # rows out by then
+        return real_save(state, path)
+
+    monkeypatch.setattr(digitpow.sweep, "save_checkpoint", save)
+    cfg = dp.SweepConfig(max_n=40, split_checks=split_checks, checkpoint_dir=tmp_path,
+                         checkpoint_every=10, jobs=1)
+    summary, _ = dp.run_sweep(cfg, out=out)
+    assert summary.ok
+    if split_checks == "off":
+        assert out.writes == [1] * 41
+    else:  # rows 1 | 2..10 | 11..17 | 18..20 | 21..30 | 31..33 | 34..40
+        assert out.writes == [1, 1, 9, 7, 3, 10, 3, 7]
+    assert saves == [(10, 10), (20, 20), (30, 30), (40, 40)]
+
+
+def fail_lines(err: str) -> list[str]:
+    return [line for line in err.splitlines() if line.startswith("FAIL")]
+
+
+def test_verify_catches_a_dropped_carry(tmp_path, capsys, monkeypatch):
+    # the step to 2**101 drops its lowest carry, out of limb 0, so the
+    # value loses 10**9.  Row 101 sits inside the batch 98..113: the
+    # link into it fails its certificate, the rows below keep their
+    # own verdicts, and every row from 101 on is decided from its value
+    real = digitpow.power.double_in_place
+    steps = []
+
+    def mutant(x):
+        steps.append(None)
+        if len(steps) != 101:
+            return real(x)
+        t = x.limbs + x.limbs
+        carry = t >= dp.LIMB_BASE
+        t -= carry * dp.LIMB_BASE
+        assert carry[0] and not carry[-1]
+        t[2:] += carry[1:-1]  # carry[0] dropped
+        x.limbs = t
+        return x
+
+    monkeypatch.setattr(digitpow.power, "double_in_place", mutant)
+    argv = ["verify", "--max-n", "130", "--jobs", "1", "--out", str(tmp_path / "rows.csv")]
+    assert main(argv) == 1
+    lines = fail_lines(capsys.readouterr().err)
+    assert lines[0] == "FAIL n=101: split bound failed at k=[10, 11, 12, 13, 14, 15, 16, 17, 18, 19]"
+    assert lines[1].startswith("FAIL n=101: failed lemma2_ok,")
+
+
+def test_verify_catches_a_held_row_changed_before_its_batch_closes(tmp_path, capsys, monkeypatch):
+    # row 100's limbs gain 2 in place while row 101 is being checked,
+    # before the batch 98..113 closes.  Row 100's other checks read the
+    # value before the change; its split verdict must read it after
+    real = digitpow.sweep.check_positions
+    held = []
+
+    def spy(limbs, table, positions):
+        held.append(limbs)  # one call per row: held[n - 1] is row n's
+        if len(held) == 101:
+            row100 = held[99]
+            assert not row100.flags.writeable
+            row100.flags.writeable = True
+            row100[0] += 2  # 2**100 + 2: v2 is 1
+        return real(limbs, table, positions)
+
+    monkeypatch.setattr(digitpow.sweep, "check_positions", spy)
+    argv = ["verify", "--max-n", "130", "--jobs", "1", "--out", str(tmp_path / "rows.csv")]
+    assert main(argv) == 1
+    lines = fail_lines(capsys.readouterr().err)
+    assert lines == [
+        "FAIL n=100: split bound failed at k=[2, 3, 4, 5, 6, 7, 8, 9, 10, 11]",
+        "FAIL n=100: failed lemma2_ok",
+    ]
 
 
 def test_sweep_checkpoint_cadence(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 
 import digitpow as dp
 import digitpow.sweep
-from digitpow.shards import STATS_ROW_BASE, plan_shards
+from digitpow.shards import ROW_BASE, plan_shards
 
 JOBS = (1, 2, 3)
 
@@ -97,7 +97,7 @@ def test_sharded_tampered_start_reports_as_one_process(monkeypatch):
                         summary.failure_lines, logs))
     assert len(reports[0][2]) == dp.sweep.MAX_LOGGED_FAILURES
     assert reports[0][2][-1].startswith("n=30:")
-    assert all(plan_shards(11, 36, jobs, True)[0][1] < 30 for jobs in JOBS[1:])
+    assert all(plan_shards(11, 36, jobs)[0][1] < 30 for jobs in JOBS[1:])
     assert reports[0][1] == [
         ("lemma2_ok", 26), ("fourpow_ok", 26), ("ekbound_ok", 26), ("digitcount_ok", 26)
     ]
@@ -106,21 +106,24 @@ def test_sharded_tampered_start_reports_as_one_process(monkeypatch):
 
 
 def fail_at(monkeypatch, bad_n: int) -> None:
-    real = digitpow.sweep.scan_splits
+    # a batch of split rows is decided when its last row is in; the one
+    # that holds 2**bad_n raises
+    real = digitpow.sweep.split_verdicts
 
-    def scan(state, k):
-        if state.n == bad_n:
+    def verdicts(rows):
+        if any(dp.to_decimal_string(dp.DecimalNat(limbs)) == str(2**bad_n)
+               for limbs, _ in rows):
             raise dp.CheckpointError(f"injected at n={bad_n}")
-        return real(state, k)
+        return real(rows)
 
-    monkeypatch.setattr(digitpow.sweep, "scan_splits", scan)
+    monkeypatch.setattr(digitpow.sweep, "split_verdicts", verdicts)
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_child_error_is_raised_in_parent(tmp_path, monkeypatch, jobs):
     # n = 390 lies in the last shard for both job counts
     fail_at(monkeypatch, 390)
-    assert plan_shards(1, 400, jobs, True)[-1][0] < 390
+    assert plan_shards(1, 400, jobs)[-1][0] < 390
     with pytest.raises(dp.CheckpointError, match="injected at n=390"):
         run({"max_n": 400, "checkpoint_every": 50}, jobs, ckdir=tmp_path)
     assert_no_children()
@@ -141,39 +144,25 @@ def test_parent_error_stops_running_children(monkeypatch):
     (1, 100000, 3), (20001, 20002, 3), (7, 6, 2),
 ])
 def test_plan_shards_covers_band(lo, hi, jobs):
-    for splits in (True, False):
-        bands = plan_shards(lo, hi, jobs, splits)
-        if hi < lo:
-            assert bands == [(lo, hi)]
-            continue
-        assert len(bands) == min(jobs, hi - lo + 1)
-        assert bands[0][0] == lo and bands[-1][1] == hi
-        assert all(a <= b for a, b in bands)  # none empty
-        assert all(b + 1 == c for (_, b), (c, _) in zip(bands, bands[1:]))
+    bands = plan_shards(lo, hi, jobs)
+    if hi < lo:
+        assert bands == [(lo, hi)]
+        return
+    assert len(bands) == min(jobs, hi - lo + 1)
+    assert bands[0][0] == lo and bands[-1][1] == hi
+    assert all(a <= b for a, b in bands)  # none empty
+    assert all(b + 1 == c for (_, b), (c, _) in zip(bands, bands[1:]))
 
 
-def assert_balanced(splits: bool) -> None:
-    def row_cost(n: int) -> float:
-        return n**1.3 if splits else n + STATS_ROW_BASE
-
+def test_plan_shards_balances_row_cost():
+    # a row costs about n + ROW_BASE, whether it checks splits or not:
+    # the later shard of 1..100000 is the shorter
+    (_, cut), _ = plan_shards(1, 100_000, 2)
+    assert 64_000 < cut < 65_000
     for lo, hi, jobs in ((1, 100_000, 3), (80_001, 83_000, 2), (98_001, 98_120, 2)):
-        cost = [sum(row_cost(n) for n in range(a, b + 1))
-                for a, b in plan_shards(lo, hi, jobs, splits)]
+        cost = [sum(n + ROW_BASE for n in range(a, b + 1))
+                for a, b in plan_shards(lo, hi, jobs)]
         assert max(cost) / min(cost) < (1.02 if hi - lo < 1000 else 1.001)
-
-
-def test_plan_shards_balances_split_cost():
-    # equal integrals of n**1.3: the later shard of 1..100000 is the shorter
-    (_, cut), _ = plan_shards(1, 100_000, 2, True)
-    assert 73_000 < cut < 75_000
-    assert_balanced(True)
-
-
-def test_plan_shards_balances_stats_cost():
-    # a row that checks no splits costs about n + STATS_ROW_BASE
-    (_, cut), _ = plan_shards(1, 100_000, 2, False)
-    assert 61_000 < cut < 63_000
-    assert_balanced(False)
 
 
 def test_sweep_rejects_zero_jobs():
