@@ -154,15 +154,30 @@ def test_plan_shards_covers_band(lo, hi, jobs):
     assert all(b + 1 == c for (_, b), (c, _) in zip(bands, bands[1:]))
 
 
-def test_plan_shards_balances_row_cost():
-    # a row costs about n + ROW_BASE, whether it checks splits or not:
-    # the later shard of 1..100000 is the shorter
-    (_, cut), _ = plan_shards(1, 100_000, 2)
-    assert 64_000 < cut < 65_000
+def assert_balanced() -> None:
+    # a row costs about n + ROW_BASE, whether it checks splits or not
     for lo, hi, jobs in ((1, 100_000, 3), (80_001, 83_000, 2), (98_001, 98_120, 2)):
         cost = [sum(n + ROW_BASE for n in range(a, b + 1))
                 for a, b in plan_shards(lo, hi, jobs)]
         assert max(cost) / min(cost) < (1.02 if hi - lo < 1000 else 1.001)
+
+
+def test_plan_shards_balances_split_cost():
+    # split verdicts share one radix conversion per batch, so a row that
+    # checks splits grows about as n too; the later shard of 1..100000 is
+    # the shorter, cut near where verify's own band times balance (66500)
+    (_, cut), _ = plan_shards(1, 100_000, 2)
+    assert 64_000 < cut < 65_000
+    assert abs(cut - 66_500) < 2_500
+    assert_balanced()
+
+
+def test_plan_shards_balances_stats_cost():
+    # a row that checks no splits costs about n + ROW_BASE as well: the
+    # same cut lies near where stats' own band times balance (61803)
+    (_, cut), _ = plan_shards(1, 100_000, 2)
+    assert abs(cut - 61_803) < 3_000
+    assert_balanced()
 
 
 def test_sweep_rejects_zero_jobs():
