@@ -18,7 +18,6 @@ from .bignum import (
 from .checks import split_verdicts
 from .intlog import (
     bound_table,
-    digit_count_formula_check,
     digit_sum_exceeds_log4,
     exact_floor_log2_pow10,
     floor_log2_pow10,

@@ -70,9 +70,6 @@ class DecimalNat:
         assert limbs.size == 0 or limbs[-1] != 0, "non-canonical: zero top limb"
         self.limbs = limbs
 
-    def is_zero(self) -> bool:
-        return self.limbs.size == 0
-
     def copy(self) -> "DecimalNat":
         return DecimalNat(self.limbs.copy())
 

@@ -139,19 +139,15 @@ class PositionTable:
         self.head = gap[:_HEAD].tolist()
 
 
-def check_positions(
-    limbs: np.ndarray, gap_values: np.ndarray, table: PositionTable | None = None
-) -> PositionChecks:
+def check_positions(limbs: np.ndarray, table: PositionTable) -> PositionChecks:
     """Position checks on the nonzero digits of one value.
 
     limbs are the value's canonical base-10**9 limbs, lowest first;
-    gap_values[x] is floor(x * log2(10)) and must cover index
-    digit_count.  table, when given, is PositionTable(gap_values),
-    which a caller checking many values builds once.  See the module
-    docstring for why the digits of a few limbs decide every check.
+    table is the PositionTable of a floor table that covers index
+    digit_count, which a caller checking many values builds once.  See
+    the module docstring for why the digits of a few limbs decide every
+    check.
     """
-    if table is None:
-        table = PositionTable(gap_values)
     size = limbs.size
     count = np.count_nonzero(limbs)
     if count == 0:

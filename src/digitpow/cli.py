@@ -1,4 +1,7 @@
-"""Command line surface: verify, decompose, bounds, stats, oeis, bench.
+"""Command line surface: verify, stats, decompose, bounds, oeis.
+
+A sweep's timing is part of its summary line on stderr: `verify --max-n
+N --out /dev/null` reports the rows, rows/s and jobs of n = 1..N.
 
 Exit codes: 0 success, 1 any verification failure or series mismatch,
 2 usage, IO, parse or checkpoint-integrity errors.
@@ -12,7 +15,7 @@ import sys
 from contextlib import contextmanager
 
 from .bignum import digit_count, digit_scan, digit_sum, digit_tally
-from .checks import check_positions
+from .checks import PositionTable, check_positions
 from .intlog import BOUND_TABLE_MAX_K, bound_table, floor_log2_pow10
 from .oeis import BFileFormatError, cross_check, parse_bfile
 from .power import CheckpointError, PowerState
@@ -95,7 +98,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     # the same tally and position checks as a sweep row
     s, m = digit_tally(state.value)
     dc = digit_count(state.value)
-    pc = check_positions(state.value.limbs, floor_log2_pow10(dc))
+    pc = check_positions(state.value.limbs, PositionTable(floor_log2_pow10(dc)))
     terms = digit_scan(state.value)
     if args.format == "json":
         obj = {
@@ -148,14 +151,6 @@ def cmd_oeis(args: argparse.Namespace) -> int:
         f"{len(report.mismatches)} mismatches"
     )
     return 0 if report.ok else 1
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    summary, _ = run_sweep(
-        SweepConfig(max_n=args.max_n, multiplier=args.multiplier, jobs=args.jobs)
-    )
-    print(summary.describe())
-    return 0 if summary.ok else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -215,12 +210,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--multiplier", type=int, default=2)
     p.set_defaults(func=cmd_oeis)
-
-    p = sub.add_parser("bench", help="time a verify sweep of n = 1..max-n, no output rows")
-    p.add_argument("--max-n", type=int, default=10_000)
-    p.add_argument("--multiplier", type=int, default=2)
-    add_jobs(p)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

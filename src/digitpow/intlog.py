@@ -99,14 +99,3 @@ def digit_count_range(dc: int, gap: np.ndarray) -> tuple[int, int]:
         return 1, 0
     return (int(gap[dc - 1]) + 1 if dc > 1 else 0), int(gap[dc])
 
-
-def digit_count_formula_check(n: int, dc: int, gap: np.ndarray) -> bool:
-    """Exact check that 2**n has dc digits: 10**(dc-1) <= 2**n < 10**dc.
-
-    gap is as for digit_count_range; equivalent to dc == floor(n *
-    log10 2) + 1.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    lo, hi = digit_count_range(dc, gap)
-    return lo <= n <= hi

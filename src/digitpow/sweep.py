@@ -34,11 +34,8 @@ or forward by the largest multiplier**j below the limb base per
 multiplication (PowerState.step_forward); the walk then pushes the
 rows below the band into the window and checks and emits the rows in
 it.  So a resumed run writes the same bytes as an uninterrupted one,
-for any window.  A row's digit sum is checked mod 9 against
-multiplier**n mod 9, carried from row to row from pow(multiplier, n, 9)
-at the band's first n, so it comes from n and never from the value.
-The digit-count formula's range of n is reread only when the digit
-count changes.
+for any window.  Every verdict of a row but its split verdict comes
+from _RowChecks, built once per band.
 
 Every sweep is sharded: the emitted rows are cut into `jobs`
 contiguous bands of equal cost (shards.plan_shards), and once the start
@@ -57,11 +54,8 @@ A row's running_mean comes from a rolling integer sum of its window's
 terms floor(s * 10**16 / n), which brackets the exact sum; only when a
 rounding midpoint falls inside the bracket does the row sum the
 window's exact Fractions (_RatioWindow).  The exact mean of a 100-row
-window has a denominator of hundreds of digits: pushing a row and
-rendering its two cells took about 21 us that way and takes about 4 us
-now (3000 rows near n = 80000, shared 2-vCPU Xeon, Python 3.11), beside
-about 60 us for the rest of a stats row there, best of five one-process
-runs: 19 us for digit_tally, 7 us for check_positions, 13 us doubling.
+window has a denominator of hundreds of digits: forming it on every
+row would cost about as much as the row's digit checks.
 
 Checkpoints fall on the grid (n - start n) % checkpoint_every == 0,
 or `checkpoint_seconds` after a band's start or its last checkpoint,
@@ -90,10 +84,10 @@ from typing import IO, Callable
 
 import numpy as np
 
-from .bignum import digit_count, digit_sum, digit_tally
+from .bignum import DecimalNat, digit_count, digit_sum, digit_tally
 from .checks import PositionTable, check_positions, split_verdicts
 from .intlog import digit_count_range, digit_sum_exceeds_log4, floor_log2_pow10
-from .power import PowerState, load_checkpoint, save_checkpoint, validate_multiplier
+from .power import PowerState, load_checkpoint, save_checkpoint
 from .ratios import render_fraction, render_quotient, render_scaled
 from .shards import CAN_FORK, Forked, default_jobs, plan_shards
 
@@ -132,8 +126,7 @@ class SweepConfig:
     checkpoint_every: int = 100_000
     checkpoint_seconds: float = 60.0
     emit_range: tuple[int, int] | None = None  # stats mode: rows for this n range
-    # processes the sweep is sharded across
-    jobs: int = field(default_factory=default_jobs)
+    jobs: int = field(default_factory=default_jobs)  # processes the sweep is sharded across
 
 
 @dataclass
@@ -206,8 +199,6 @@ class _RatioWindow:
     GUARD = 6
 
     def __init__(self, window: int):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
         self.window = window
         self._unit = 10**self.GUARD
         self._scale = 10**RATIO_PLACES * self._unit
@@ -266,9 +257,42 @@ def _initial_state(cfg: SweepConfig) -> PowerState:
                 f"requested {cfg.multiplier}"
             )
         return state
-    multiplier = 2 if cfg.multiplier is None else cfg.multiplier
-    validate_multiplier(multiplier)
-    return PowerState.start(multiplier)
+    return PowerState.start(2 if cfg.multiplier is None else cfg.multiplier)
+
+
+class _RowChecks:
+    """Every verdict of a row but its split verdict, for the rows after
+    n of one band, in n order: called with n and multiplier**n, it
+    returns the row's record with lemma2_ok still open.  It carries
+    multiplier**n mod 9 from pow(multiplier, n, 9), so the mod 9 check
+    reads n, never the value.  gap, the floor table, is None unless
+    multiplier is 2.
+    """
+
+    def __init__(self, multiplier: int, gap: np.ndarray | None, n: int):
+        self.multiplier = multiplier
+        self.r9 = pow(multiplier, n, 9)  # a**n mod 9, from n alone
+        self.table = PositionTable(gap) if gap is not None else None
+        self.dc, self.dc_lo, self.dc_hi = 0, 1, 0  # 2**n has dc digits for n in dc_lo..dc_hi
+
+    def __call__(self, n: int, value: DecimalNat) -> VerificationRecord:
+        s, m = digit_tally(value)
+        dc = digit_count(value)
+        self.r9 = self.r9 * self.multiplier % 9
+        mod9_ok = s % 9 == self.r9
+        table = self.table
+        if table is None:
+            return VerificationRecord(n, s, dc, m, None, None, None, None, None, None, mod9_ok)
+        if dc >= table.gap.size:  # past the cap, or a corrupt value
+            self.table = table = PositionTable(floor_log2_pow10(2 * dc))
+        if dc != self.dc:
+            self.dc = dc
+            self.dc_lo, self.dc_hi = digit_count_range(dc, table.gap)
+        gap_ok, fourpow_ok, ekbound_ok = check_positions(value.limbs, table)
+        return VerificationRecord(
+            n, s, dc, m, digit_sum_exceeds_log4(n, s), None, gap_ok, fourpow_ok,
+            ekbound_ok, self.dc_lo <= n <= self.dc_hi, mod9_ok,
+        )
 
 
 class _Tally:
@@ -356,17 +380,20 @@ def run_sweep(
         raise ValueError(f"unknown split_checks mode {cfg.split_checks!r}")
     if cfg.jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {cfg.jobs}")
+    if cfg.window < 1:
+        raise ValueError(f"window must be >= 1, got {cfg.window}")
+    if cfg.checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be >= 1, got {cfg.checkpoint_every}")
     emit_lo, emit_hi = cfg.emit_range or (1, cfg.max_n)
     if not 1 <= emit_lo <= emit_hi <= cfg.max_n:
         raise ValueError(f"bad emit range {emit_lo}..{emit_hi} for max_n {cfg.max_n}")
     if out is not None and fmt not in _ROW_TEXT:
         raise ValueError(f"unknown format {fmt!r}")
-    is_two = state.multiplier == 2
-    splits = is_two and cfg.split_checks != "off"
-
     # floor(x * log2 10) up to index digit_count: 2**n has at most
     # n // 3 + 1 digits, since log10 2 < 1/3
+    is_two = state.multiplier == 2
     gap = floor_log2_pow10(min(cfg.max_n // 3, FLOOR_TABLE_CAP) + 1) if is_two else None
+    splits = is_two and cfg.split_checks != "off"
     lo = max(emit_lo, start_n + 1)  # the first row emitted
     bands = plan_shards(lo, emit_hi, cfg.jobs if CAN_FORK else 1)
     if out is not None and fmt == "csv":
@@ -382,11 +409,8 @@ def run_sweep(
         wherever it stands; returns the names of the checkpoints saved
         under ckpt_to, in n order."""
         band_lo, band_hi = band
-        table = gap
-        positions = PositionTable(gap) if is_two else None
         window = _RatioWindow(cfg.window)
         row_text = _ROW_TEXT[fmt] if out is not None else None
-        every = cfg.checkpoint_every
         saved: list[str] = []
         last_t = time.monotonic()
 
@@ -400,9 +424,10 @@ def run_sweep(
             # with an output stream, row band_lo's window covers first..band_lo
             first = max(1, band_lo - cfg.window + 1) if out is not None else band_lo
             _walk_to(state, first - 1)
-            a = state.multiplier
-            r9 = pow(a, first - 1, 9)  # a**n mod 9, from n alone
-            dc_seen, dc_lo, dc_hi = 0, 1, 0  # 2**n has dc_seen digits for n in dc_lo..dc_hi
+            for n in range(first, band_lo):
+                state.step()
+                window.push(n, digit_sum(state.value))
+            row_checks = _RowChecks(state.multiplier, gap, band_lo - 1)
             # split rows wait here, each with the limb array its checks read
             pending: list[tuple[VerificationRecord, np.ndarray, int]] = []
 
@@ -421,50 +446,25 @@ def run_sweep(
                     out.write("".join(text))
                 pending.clear()
 
-            for n in range(first, band_hi + 1):
+            for n in range(band_lo, band_hi + 1):
                 state.step()
-                r9 = r9 * a % 9
-                if n < band_lo:
-                    window.push(n, digit_sum(state.value))
-                    continue
-                value = state.value
-                s, m = digit_tally(value)
-                dc = digit_count(value)
-                mod9_ok = s % 9 == r9
-
-                theorem_ok = lemma2_ok = gap_ok = fourpow_ok = ekbound_ok = dcf_ok = None
-                if is_two:
-                    if dc >= table.size:  # past the cap, or a corrupt value
-                        table = floor_log2_pow10(2 * dc)
-                        positions = PositionTable(table)
-                    if dc != dc_seen:
-                        dc_seen = dc
-                        dc_lo, dc_hi = digit_count_range(dc, table)
-                    theorem_ok = digit_sum_exceeds_log4(n, s)
-                    dcf_ok = dc_lo <= n <= dc_hi
-                    gap_ok, fourpow_ok, ekbound_ok = check_positions(value.limbs, table, positions)
-
-                rec = VerificationRecord(
-                    n, s, dc, m, theorem_ok, lemma2_ok, gap_ok, fourpow_ok,
-                    ekbound_ok, dcf_ok, mod9_ok,
-                )
+                rec = row_checks(n, state.value)
                 due = ckpt_to is not None and (
-                    (n - start_n) % every == 0
+                    (n - start_n) % cfg.checkpoint_every == 0
                     or time.monotonic() - last_t >= cfg.checkpoint_seconds
                 )
                 if splits:
-                    # the split verdicts wait for the batch's last row;
-                    # stepping rebinds value.limbs, so this array stays
-                    # as the row's checks read it
-                    limbs = value.limbs
+                    # the split verdicts wait for the batch's last row; stepping
+                    # rebinds value.limbs, so this array stays as the checks read it
+                    limbs = state.value.limbs
                     limbs.flags.writeable = False
-                    pending.append((rec, limbs, min(n, dc - 1)))
+                    pending.append((rec, limbs, min(n, rec.digit_count - 1)))
                     if due or n == band_hi or (n - band_lo) % SPLIT_BATCH == 0:
                         close_batch()
                 else:
                     tally.add(rec)
                     if row_text is not None:
-                        out.write(row_text(rec, *window.push(n, s)))
+                        out.write(row_text(rec, *window.push(n, rec.s)))
                 if due:
                     save()
         # the last band ends the run with a checkpoint at max_n

@@ -32,7 +32,7 @@ def scan(state: dp.PowerState, kmax: int) -> tuple[int, list[int]]:
 def positions(v: int):
     """check_positions on v, set up as a sweep row sets it up."""
     x = dp.from_decimal_string(str(v))
-    return check_positions(x.limbs, dp.floor_log2_pow10(dp.digit_count(x)))
+    return check_positions(x.limbs, PositionTable(dp.floor_log2_pow10(dp.digit_count(x))))
 
 
 def test_decompose_examples():
@@ -325,8 +325,7 @@ def test_position_checks_match_oracles(v):
 
 # one table for every value, as a sweep has it: larger than any value
 # needs, with B_k running past every value's top digit
-SHARED_GAP = dp.floor_log2_pow10(5000)
-SHARED_TABLE = PositionTable(SHARED_GAP)
+SHARED_TABLE = PositionTable(dp.floor_log2_pow10(5000))
 # lowest nonzero digits past gap's first 64 entries, which the table
 # holds as a Python list; gap[63] = 209, gap[71] = 235
 HIGH_PAIRS = [10**70 + 10**75, 10**70 + 10**235, 10**70 + 10**236, 10**63 + 10**300,
@@ -338,28 +337,23 @@ HIGH_PAIRS = [10**70 + 10**75, 10**70 + 10**235, 10**70 + 10**236, 10**63 + 10**
 @given(st.one_of(position_values, st.sampled_from(HIGH_PAIRS)))
 def test_position_table_gives_the_same_verdicts(v):
     x = dp.from_decimal_string(str(v))
-    gap = dp.floor_log2_pow10(dp.digit_count(x))
-    verdicts = check_positions(x.limbs, gap)
-    assert check_positions(x.limbs, gap, PositionTable(gap)) == verdicts
-    assert check_positions(x.limbs, SHARED_GAP, SHARED_TABLE) == verdicts
+    assert check_positions(x.limbs, SHARED_TABLE) == positions(v)
 
 
 @pytest.mark.parametrize("v", HIGH_PAIRS)
 def test_position_checks_past_the_table_head(v):
-    r = check_positions(dp.from_decimal_string(str(v)).limbs, SHARED_GAP, SHARED_TABLE)
+    r = check_positions(dp.from_decimal_string(str(v)).limbs, SHARED_TABLE)
     assert r.gap_ok == all(gap_inequality_check(v))
     assert r.fourpow_ok == four_power_bound_check(v) is False
     assert r.bound_ok == iterated_bound_check(v) is False
 
 
 def test_position_table_covers_the_value():
-    # a table must reach index digit_count, with or without the view
+    # a table must reach index digit_count
     x = dp.from_decimal_string(str(2**100))
-    gap = dp.floor_log2_pow10(dp.digit_count(x) - 1)
+    short = PositionTable(dp.floor_log2_pow10(dp.digit_count(x) - 1))
     with pytest.raises(ValueError, match="floor table"):
-        check_positions(x.limbs, gap)
-    with pytest.raises(ValueError, match="floor table"):
-        check_positions(x.limbs, gap, PositionTable(gap))
+        check_positions(x.limbs, short)
     table = PositionTable(dp.floor_log2_pow10(100))
     assert table.bounds == [0, 3, 13, 46, 156]
     assert table.fours == (1, 4, 16, 64, 256) and len(table.head) == 64

@@ -241,9 +241,9 @@ def test_sweep_floor_table_grows_past_cap(monkeypatch):
         views.append(real_view(gap))
         return views[-1]
 
-    def check(limbs, gap, table):
-        assert table is views[-1] and table.gap is gap is tables[-1]
-        return real_check(limbs, gap, table)
+    def check(limbs, table):
+        assert table is views[-1] and table.gap is tables[-1]
+        return real_check(limbs, table)
 
     monkeypatch.setattr(sweep, "floor_log2_pow10", floor)
     monkeypatch.setattr(sweep, "PositionTable", view)
@@ -371,14 +371,14 @@ def test_verify_catches_a_held_row_changed_before_its_batch_closes(tmp_path, cap
     real = digitpow.sweep.check_positions
     held = []
 
-    def spy(limbs, table, positions):
+    def spy(limbs, table):
         held.append(limbs)  # one call per row: held[n - 1] is row n's
         if len(held) == 101:
             row100 = held[99]
             assert not row100.flags.writeable
             row100.flags.writeable = True
             row100[0] += 2  # 2**100 + 2: v2 is 1
-        return real(limbs, table, positions)
+        return real(limbs, table)
 
     monkeypatch.setattr(digitpow.sweep, "check_positions", spy)
     argv = ["verify", "--max-n", "130", "--jobs", "1", "--out", str(tmp_path / "rows.csv")]
@@ -452,6 +452,27 @@ def test_cli_verify(tmp_path, capsys):
     assert lines[10].startswith("10,7,4,")
     err = capsys.readouterr().err
     assert "verify: rows 10" in err and "ok" in err
+
+
+@pytest.mark.parametrize("every", ["0", "-7"])
+def test_cli_verify_rejects_checkpoint_every_below_one(tmp_path, capsys, every):
+    argv = ["verify", "--max-n", "10", "--checkpoint-dir", str(tmp_path / "ck"),
+            "--checkpoint-every", every, "--out", str(tmp_path / "rows.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"digitpow verify: error: checkpoint_every must be >= 1, got {every}\n"
+    assert not (tmp_path / "ck").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "3"])
+def test_cli_window_zero_is_refused_before_any_output(tmp_path, capsys, monkeypatch, jobs):
+    # refused with the other settings: before the header and before a fork
+    monkeypatch.setattr(digitpow.sweep, "Forked", None)  # a fork would call None
+    out = tmp_path / "rows.csv"
+    argv = ["verify", "--max-n", "300", "--window", "0", "--jobs", jobs, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "digitpow verify: error: window must be >= 1, got 0\n"
+    assert out.read_text() == ""
 
 
 def test_cli_verify_rejects_power_of_ten(capsys):
@@ -641,12 +662,6 @@ def test_cli_oeis_malformed(tmp_path, capsys):
 
 def test_cli_oeis_missing_file(capsys):
     assert main(["oeis", "/nonexistent/b.txt"]) == 2
-
-
-def test_cli_bench(capsys):
-    assert main(["bench", "--max-n", "300"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("rows 300 (n=1..300, multiplier=2) ok in ")
 
 
 def test_cli_verify_json(tmp_path):

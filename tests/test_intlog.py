@@ -6,6 +6,7 @@ from mpmath import mp
 
 import digitpow as dp
 import digitpow.intlog
+from digitpow.intlog import digit_count_range
 
 
 @pytest.mark.parametrize(
@@ -125,15 +126,16 @@ def test_lower_bound_predicate_matches_powers(n, s):
 
 
 def test_digit_count_formula_examples():
+    # 2**n has dc digits exactly for n in digit_count_range(dc, table)
     table = dp.floor_log2_pow10(100)
-    assert dp.digit_count_formula_check(10, 4, table)
-    assert dp.digit_count_formula_check(0, 1, table)
-    assert dp.digit_count_formula_check(332, 100, table)
-    assert not dp.digit_count_formula_check(10, 3, table)
-    assert not dp.digit_count_formula_check(10, 5, table)
-    assert not dp.digit_count_formula_check(5, 0, table)
-    with pytest.raises(ValueError):
-        dp.digit_count_formula_check(-1, 1, table)
+    assert digit_count_range(1, table) == (0, 3)  # 1..8
+    assert digit_count_range(4, table) == (10, 13)  # 1024..8192
+    assert digit_count_range(5, table) == (14, 16)  # 16384..65536
+    lo, hi = digit_count_range(100, table)
+    assert lo <= 332 <= hi
+    # no n gives fewer than one digit
+    assert digit_count_range(0, table) == (1, 0)
+    assert digit_count_range(-3, table) == (1, 0)
 
 
 @given(st.integers(min_value=0, max_value=3000))
@@ -141,5 +143,10 @@ def test_digit_count_formula_matches_len(n):
     true_dc = len(str(2**n))
     table = dp.floor_log2_pow10(true_dc + 1)
     for dc in (true_dc - 1, true_dc, true_dc + 1):
-        if dc >= 1:
-            assert dp.digit_count_formula_check(n, dc, table) == (dc == true_dc)
+        lo, hi = digit_count_range(dc, table)
+        assert (lo <= n <= hi) == (dc == true_dc)
+    # the range is tight: its ends have dc digits, their outer neighbours do not
+    lo, hi = digit_count_range(true_dc, table)
+    assert len(str(2**lo)) == len(str(2**hi)) == true_dc
+    assert len(str(2 ** (hi + 1))) == true_dc + 1
+    assert lo == 0 or len(str(2 ** (lo - 1))) == true_dc - 1

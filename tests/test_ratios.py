@@ -111,8 +111,10 @@ def test_running_mean_full_range_when_window_exceeds():
 
 
 def test_running_mean_window_errors():
-    with pytest.raises(ValueError):
-        _RatioWindow(0)
+    # a window below 1 is refused with the sweep's other settings
+    for window in (0, -3):
+        with pytest.raises(ValueError, match="window"):
+            dp.run_sweep(dp.SweepConfig(max_n=10, window=window))
 
 
 @given(
