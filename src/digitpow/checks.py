@@ -73,8 +73,23 @@ b = max_j(kmax_j + l - j) and r = x_l mod 2**b: r = 0 puts every
 v2(x_j) at or above kmax_j, and otherwise v2(x_j) = v2(r) - (l - j)
 exactly.  A link that fails its certificate cuts the rows there, and
 each piece anchors at its own last row, so a broken chain costs one
-conversion per piece and still gets exact verdicts; a zero anchor
-sends its piece row by row.
+conversion per piece and still gets exact verdicts.  A zero row fails
+at every position whatever v2 says, and only zero is certified to
+double into zero, so a zero anchor needs no path of its own.
+
+A batch need not convert at all when the batch before it closed on the
+row just before its first: split_verdicts returns that last row as a
+base, (a copy of its limbs, v2, bits), with v2 exact when v2 < bits and
+only v2 >= bits otherwise, and the next call takes it back.  When
+is_doubled(base, x_0) certifies the link, x_l = 2**(l+1) * base, so
+v2(x_l) = v2(base) + l + 1, exact or at least bits + l + 1, with no
+conversion.  That is enough when v2(base) is exact, or when
+kmax_j <= bits + j + 1 for every row j; otherwise the batch converts
+as above.  In a sweep it is always enough: kmax = min(n,
+digit_count - 1) grows by at most 1 per step, and a base whose v2 is
+only bounded has bits at least its own kmax.  So an
+unbroken chain converts once, for its first batch, and after that only
+a piece that follows a failed link converts.
 
 The anchor is the last row, never the first.  The sweep holds the limb
 arrays that each row's other checks read and decides the batch when
@@ -85,7 +100,14 @@ it holds, or, as the anchor, shows in r.  A first-row anchor would be
 converted when the batch opens, and the later rows' verdicts would
 rest on that early read: a value changed between two steps is doubled
 from its changed self, so a link certified at the next step passes,
-and the change never meets the conversion.
+and the change never meets the conversion.  The carried base is an
+early read of the same kind, so split_verdicts copies the last row's
+limbs as the batch closes, decides that row from the copy, and returns
+the copy, read-only, as the base, which nothing ever steps from.  If
+the held array changes after the batch closes, the next value is
+doubled from the changed array, the link from the unchanged copy fails
+its certificate, and the next batch converts on its own: the change
+cannot ride the earlier conversion.
 """
 
 from __future__ import annotations
@@ -189,37 +211,69 @@ def check_positions(limbs: np.ndarray, table: PositionTable) -> PositionChecks:
     return PositionChecks(gap_ok, fourpow_ok, bound_ok)
 
 
-def split_verdicts(rows: Sequence[tuple[np.ndarray, int]]) -> list[tuple[int, list[int]]]:
+class SplitBase(NamedTuple):
+    """A closed batch's last row, kept to anchor the next batch: a
+    private, read-only copy of its limbs and what is proven of v2 of
+    their value, exactly v2 when v2 < bits, else only v2 >= bits."""
+
+    limbs: np.ndarray
+    v2: int
+    bits: int
+
+
+def split_verdicts(
+    rows: Sequence[tuple[np.ndarray, int]], base: SplitBase | None = None
+) -> tuple[list[tuple[int, list[int]]], SplitBase | None]:
     """Split-bound verdicts of consecutive rows of a doubling chain.
 
     rows holds (limbs, kmax) for rows j = 0..l in step order, where
     limbs are row j's base-10**9 limbs and kmax its highest split
     position, at most digit_count-1 so that the high part is positive.
-    Returns (kmax, failed positions) per row, each decided exactly from
-    the row's own value: the rows need not hold powers of two, nor be a
-    chain, and a batch of one row is the check of one value.  See the
-    module docstring for how one conversion decides them all.
+    base is what the call before returned, for the row just before
+    rows[0], or None.  Returns (kmax, failed positions) per row, each
+    decided exactly from the row's own value: the rows need not hold
+    powers of two, nor be a chain, nor follow the base, and a batch of
+    one row is the check of one value.  Also returns the base for the
+    next call: a copy of rows[-1]'s limbs, taken before anything is
+    read from them.  See the module docstring for how one conversion
+    decides them all.
     """
+    if not rows:
+        return [], base
+    held, kmax = rows[-1]
+    limbs = held.copy()
+    limbs.flags.writeable = False
+    rows = [*rows[:-1], (limbs, kmax)]
+    # only the first piece can follow the base: each later one starts
+    # after a link that failed
+    if base is not None and not is_doubled(base.limbs, rows[0][0]):
+        base = None
     out: list[tuple[int, list[int]]] = []
     start = 0
     for end in range(1, len(rows) + 1):
         if end == len(rows) or not is_doubled(rows[end - 1][0], rows[end][0]):
-            out += _chain_verdicts(rows[start:end])
+            verdicts, base = _chain_verdicts(rows[start:end], base if start == 0 else None)
+            out += verdicts
             start = end
-    return out
+    return out, base
 
 
-def _chain_verdicts(rows: Sequence[tuple[np.ndarray, int]]) -> list[tuple[int, list[int]]]:
-    """split_verdicts of rows each certified twice the one before."""
+def _chain_verdicts(
+    rows: Sequence[tuple[np.ndarray, int]], base: SplitBase | None
+) -> tuple[list[tuple[int, list[int]]], SplitBase]:
+    """split_verdicts of rows each certified twice the one before, the
+    first twice base's value if base is given."""
     last = len(rows) - 1
     anchor = rows[-1][0]
-    if last and anchor.size == 0:  # a zero chain: row by row
-        return [v for row in rows for v in _chain_verdicts([row])]
     # x_l = 2**(l-j) * x_j, so v2(x_j) >= kmax_j exactly when
     # 2**(kmax_j + l - j) divides x_l
     bits = max((k + last - j for j, (_, k) in enumerate(rows) if k >= 1), default=0)
-    r = mod_pow2(DecimalNat(anchor), bits)
-    v2_anchor = (r & -r).bit_length() - 1 if r else bits
+    if base is not None and (base.v2 < base.bits or base.bits + last + 1 >= bits):
+        # x_l = 2**(l+1) * base: v2 and the bits known of it move up by l + 1
+        v2_anchor, bits = base.v2 + last + 1, base.bits + last + 1
+    else:
+        r = mod_pow2(DecimalNat(anchor), bits)
+        v2_anchor = (r & -r).bit_length() - 1 if r else bits
     out: list[tuple[int, list[int]]] = []
     for j, (limbs, kmax) in enumerate(rows):
         if kmax < 1:
@@ -230,5 +284,4 @@ def _chain_verdicts(rows: Sequence[tuple[np.ndarray, int]]) -> list[tuple[int, l
             v2 = min(v2_anchor - (last - j), kmax)
             zeros = trailing_zero_digits(DecimalNat(limbs))
             out.append((kmax, [*range(1, min(zeros, kmax) + 1), *range(v2 + 1, kmax + 1)]))
-    return out
-
+    return out, SplitBase(anchor, v2_anchor, bits)

@@ -2,14 +2,14 @@
 
 `plan_shards` cuts the rows at equal integrals of a row's cost, not at
 equal row counts.  A row costs about n + ROW_BASE: its digit work, and
-since the split verdicts share one radix conversion per batch
+since a band's split verdicts follow from one radix conversion
 (checks.split_verdicts) its split work too, grows about as n below
 n = 1e5, and a fixed per-row cost is as large as that work at
 n = ROW_BASE.  One model serves every sweep: timed side by side, the
-two bands of a sharded n = 1..100000 sweep cut by it (at 64340) ended
-within 5% of each other for verify (child/parent 1.03, 1.05) and
-within 15% for stats (0.85, 0.91).  Fitted apart, verify's bands
-balance near 66500 and stats' near 61803.
+two bands of a sharded n = 1..100000 sweep cut by it (at 60000) ended
+within 4% of each other for verify (child/parent 0.98..1.04, four
+runs) and within 11% for stats (0.93..1.11).  Fitted apart, verify's
+bands balance near 60700 and stats' near 59200.
 
 `Forked` runs one piece of work in a child made by os.fork, not by a
 spawned interpreter: the child inherits the loaded and verified start
@@ -30,7 +30,7 @@ from typing import Callable
 CAN_FORK = hasattr(os, "fork")
 # fitted to the band times of sharded n = 1..100000 verify and stats
 # sweeps on a shared 2-vCPU Xeon
-ROW_BASE = 30_000
+ROW_BASE = 70_000
 
 
 def default_jobs() -> int:

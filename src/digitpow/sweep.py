@@ -16,15 +16,25 @@ for every n.  No low part A = x mod 10**k of the value x is formed:
 when k exceeds the number of trailing zero digits of x; and a positive
 multiple of 2**k is at least 2**k.  So v2(x) and the trailing zeros
 decide every k, and v2 takes a radix conversion, x mod 2**K, straight
-from the limbs.  Consecutive rows share one: a split row waits, holding
+from the limbs.  A whole band shares one: a split row waits, holding
 the limb array its other checks read, until its batch closes, and
 checks.split_verdicts then certifies each row as half the next from
-the limbs and reads every row's v2 off one conversion of the batch's
-last row.  A batch closes at a band's first row, alone, so that row
-leaves as early as it would on its own; then every SPLIT_BATCH rows;
-at every checkpoint row, before the save; and at the band's end.  Its
-rows are then noted, tallied and written in n order, in one write.
-Rows that check no splits leave one by one.
+the limbs.  The band's first batch reads every row's v2 off one
+conversion of its last row.  Each later batch reads it off the batch
+before: as a batch closes, split_verdicts copies its last row's limbs,
+decides that row from the copy and hands the copy back with its v2 as
+the next batch's base, and a certified link from the base into the
+next batch's first row carries the v2 over, 2**(rows since the base)
+times the base's.  The bits known of it always suffice, because
+kmax = min(n, digit_count - 1) grows by at most 1 per step.  The copy
+is private and read-only and nothing steps from it, so a held array
+changed after its batch closes breaks the link from the copy, and the
+next batch converts on its own (see checks.py).  A batch closes at a
+band's first row, alone, so that row leaves as early as it would on
+its own; then every SPLIT_BATCH rows; at every checkpoint row, before
+the save; and at the band's end.  Its rows are then noted, tallied and
+written in n order, in one write.  Rows that check no splits leave one
+by one.
 
 A band of rows is one forward walk of the chain.  It first walks its
 start state, exactly and in place, to just below the first n that its
@@ -45,7 +55,7 @@ band and checks it into a buffer; the parent checks the first band,
 streaming it to `out`, then writes each child's text in n order and
 merges its failure counts, records, failure lines and log lines.  Every
 row is still decided from its own value: its split verdict from the
-limbs it held when its batch closed, tied to the batch's conversion by
+limbs it held when its batch closed, tied to its band's conversion by
 certificates or, where one fails, converted on its own.  Every
 running_mean comes from its own window.  So the output bytes depend
 neither on `jobs` nor on where the batches fall.
@@ -97,7 +107,7 @@ MAX_LOGGED_FAILURES = 20
 # largest floor(x * log2 10) array built up front (32 MiB, n up to about
 # 1.26e7); a sweep that gets past it rebuilds at twice its digit count
 FLOOR_TABLE_CAP = 2**22
-# rows whose split verdicts share one radix conversion (checks.split_verdicts)
+# split rows decided, and written, together (checks.split_verdicts)
 SPLIT_BATCH = 16
 
 CHECK_NAMES = (
@@ -384,6 +394,8 @@ def run_sweep(
         raise ValueError(f"window must be >= 1, got {cfg.window}")
     if cfg.checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be >= 1, got {cfg.checkpoint_every}")
+    if not cfg.checkpoint_seconds >= 0:  # NaN too: it would turn time checkpoints off
+        raise ValueError(f"checkpoint_seconds must be >= 0, got {cfg.checkpoint_seconds}")
     emit_lo, emit_hi = cfg.emit_range or (1, cfg.max_n)
     if not 1 <= emit_lo <= emit_hi <= cfg.max_n:
         raise ValueError(f"bad emit range {emit_lo}..{emit_hi} for max_n {cfg.max_n}")
@@ -430,9 +442,12 @@ def run_sweep(
             row_checks = _RowChecks(state.multiplier, gap, band_lo - 1)
             # split rows wait here, each with the limb array its checks read
             pending: list[tuple[VerificationRecord, np.ndarray, int]] = []
+            base = None  # the last batch's last row, copied as it closed
 
             def close_batch() -> None:
-                verdicts = split_verdicts([(limbs, kmax) for _, limbs, kmax in pending])
+                nonlocal base
+                rows = [(limbs, kmax) for _, limbs, kmax in pending]
+                verdicts, base = split_verdicts(rows, base)
                 text = []
                 for (rec, _, _), (checked, failed_ks) in zip(pending, verdicts):
                     rec.lemma2_checked = checked

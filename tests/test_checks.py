@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import digitpow as dp
+import digitpow.checks
 from digitpow.checks import PositionTable, check_positions, split_verdicts
 from digitpow.sweep import SPLIT_BATCH
 from oracles import (
@@ -26,7 +28,7 @@ def power_state(n: int, multiplier: int = 2) -> dp.PowerState:
 
 def scan(state: dp.PowerState, kmax: int) -> tuple[int, list[int]]:
     """The split verdicts of one value: a batch of one row."""
-    return split_verdicts([(state.value.limbs, kmax)])[0]
+    return split_verdicts([(state.value.limbs, kmax)])[0][0]
 
 
 def positions(v: int):
@@ -175,7 +177,7 @@ def split_row(v: int, kmax: int | None = None) -> tuple:
 
 
 def one_row(row: tuple) -> tuple[int, list[int]]:
-    return split_verdicts([row])[0]
+    return split_verdicts([row])[0][0]
 
 
 @pytest.mark.parametrize("x0", [3 * 2**40, 5**30, 7 * 10**12, 3**50 * 10**3, 2**50, 0])
@@ -194,10 +196,10 @@ def test_split_verdicts_equal_per_row(x0):
         if v:  # the per-row route against low parts formed directly
             assert failed == [k for k in range(1, kmax + 1) if verify_split(v, k).ok is False]
     for rows in range(1, length + 1):
-        assert split_verdicts(chain_x[:rows]) == expect_x[:rows]
+        assert split_verdicts(chain_x[:rows])[0] == expect_x[:rows]
         for cut in range(1, rows):
             mixed = chain_x[:cut] + chain_y[cut:rows]
-            assert split_verdicts(mixed) == expect_x[:cut] + expect_y[cut:rows], (rows, cut)
+            assert split_verdicts(mixed)[0] == expect_x[:cut] + expect_y[cut:rows], (rows, cut)
 
 
 @settings(deadline=None, max_examples=60)
@@ -213,17 +215,74 @@ def test_split_verdicts_equal_per_row_on_any_rows(segments, data):
             v = x0 << j
             top = len(str(v)) - 1 if v else 5
             rows.append(split_row(v, data.draw(st.integers(0, top))))
-    assert split_verdicts(rows) == [one_row(row) for row in rows]
+    assert split_verdicts(rows)[0] == [one_row(row) for row in rows]
 
 
 def test_split_verdicts_zero_anchor_and_empty():
-    assert split_verdicts([]) == []
+    assert split_verdicts([]) == ([], None)
     zero = split_row(0)
-    assert split_verdicts([zero, zero]) == [(3, [1, 2, 3])] * 2
+    assert split_verdicts([zero, zero])[0] == [(3, [1, 2, 3])] * 2
     # 2 * 5 * 10**20 is no zero: the link into the zero anchor is cut
-    assert split_verdicts([split_row(5 * 10**20), zero]) == [
+    assert split_verdicts([split_row(5 * 10**20), zero])[0] == [
         one_row(split_row(5 * 10**20)), (3, [1, 2, 3])
     ]
+
+
+def carry_base(rows: list, cuts: list[int]) -> list[tuple[int, list[int]]]:
+    """rows decided in batches rows[a:b] between the cuts, each batch
+    anchored on the base the one before returned."""
+    out, base = [], None
+    for a, b in zip([0, *cuts], [*cuts, len(rows)]):
+        verdicts, base = split_verdicts(rows[a:b], base)
+        out += verdicts
+        # the base is a private, read-only copy of the batch's last row
+        held = rows[b - 1][0]
+        assert base.limbs is not held and not base.limbs.flags.writeable
+        assert np.array_equal(base.limbs, held)
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.tuples(st.one_of(st.just(0), split_values), st.integers(1, SPLIT_BATCH)),
+                min_size=1, max_size=4),
+       st.data())
+def test_split_verdicts_carry_the_base_across_batches(segments, data):
+    # doubling runs from arbitrary starts (zeros and non-powers among
+    # them) with any kmax, cut into batches anywhere: a batch may start
+    # a new run, so its base does not double into it
+    rows = []
+    for x0, count in segments:
+        for j in range(count):
+            v = x0 << j
+            top = len(str(v)) - 1 if v else 5
+            rows.append(split_row(v, data.draw(st.integers(0, top))))
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(rows) - 1))) if len(rows) > 1 else [])
+    assert carry_base(rows, cuts) == [one_row(row) for row in rows]
+
+
+def test_split_verdicts_convert_once_per_unbroken_chain(monkeypatch):
+    # rows 2**1..2**300 with a sweep's kmax, in batches of 1 and 16: the
+    # first batch converts, and every later one follows from its base
+    conversions = []
+    real = digitpow.checks.mod_pow2
+    monkeypatch.setattr(digitpow.checks, "mod_pow2",
+                        lambda x, bits: conversions.append(bits) or real(x, bits))
+    rows = [split_row(2**n, min(n, len(str(2**n)) - 1)) for n in range(1, 301)]
+    expect = [(kmax, []) for _, kmax in rows]
+    assert carry_base(rows, list(range(1, 300, SPLIT_BATCH))) == expect
+    assert conversions == [0]
+    # a base that knows too few bits for the next batch's kmax: that
+    # batch converts on its own
+    conversions.clear()
+    rows = [split_row(3 * 2**40, 0), split_row(3 * 2**41, 12)]
+    assert carry_base(rows, [1]) == [(0, []), one_row(rows[1])] == [(0, []), (12, [])]
+    assert conversions == [0, 12, 12]  # one_row converts too
+    # a base with an exact v2 (3) that does not double into the next
+    # batch, whose v2 is 10: that batch converts on its own
+    conversions.clear()
+    rows = [split_row(8 * (10**20 + 1)), split_row(2**10 * (10**20 + 1))]
+    assert carry_base(rows, [1]) == [(20, list(range(4, 21))), (23, list(range(11, 24)))]
+    assert len(conversions) == 2
 
 
 @settings(deadline=None)

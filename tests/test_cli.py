@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import digitpow as dp
+import digitpow.checks
 import digitpow.power
 import digitpow.sweep
 from digitpow.cli import main
@@ -390,6 +391,66 @@ def test_verify_catches_a_held_row_changed_before_its_batch_closes(tmp_path, cap
     ]
 
 
+def count_conversions(tmp_path, monkeypatch):
+    """Counts the calls of checks.mod_pow2, the radix conversion, in a
+    file: a forked shard converts in its own process."""
+    log = tmp_path / "conversions"
+    log.write_text("")
+    real = digitpow.checks.mod_pow2
+
+    def spy(x, bits):
+        with open(log, "a") as fh:
+            fh.write(".")
+        return real(x, bits)
+
+    monkeypatch.setattr(digitpow.checks, "mod_pow2", spy)
+    return lambda: len(log.read_text())
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_verify_converts_once_per_band(tmp_path, capsys, monkeypatch, jobs):
+    # each band's first row converts alone; every later batch follows
+    # from the last row of the batch before
+    conversions = count_conversions(tmp_path, monkeypatch)
+    argv = ["verify", "--max-n", "3000", "--jobs", str(jobs), "--out", str(tmp_path / "rows.csv")]
+    assert main(argv) == 0
+    assert conversions() == jobs
+
+
+def test_a_dropped_carry_costs_one_more_conversion(tmp_path, capsys, monkeypatch):
+    # the link into row 101 fails, so rows 101..113 convert on their
+    # own; the batches after them follow from row 113 again
+    conversions = count_conversions(tmp_path, monkeypatch)
+    test_verify_catches_a_dropped_carry(tmp_path, capsys, monkeypatch)
+    assert conversions() == 2
+
+
+def test_verify_catches_a_batch_end_changed_after_its_batch_closes(tmp_path, capsys, monkeypatch):
+    # row 113 closes the batch 98..113 and then gains 2 in place, before
+    # the step to 114 doubles it.  Row 113 was decided from a copy taken
+    # as its batch closed, and the next batch's base is that copy, so the
+    # link into row 114 = 2**114 + 4 fails and the batch 114..129
+    # converts on its own
+    conversions = count_conversions(tmp_path, monkeypatch)
+    real = digitpow.sweep.split_verdicts
+
+    def verdicts(rows, base):
+        out = real(rows, base)
+        held = rows[-1][0]
+        if dp.to_decimal_string(dp.DecimalNat(held)) == str(2**113):
+            held.flags.writeable = True
+            held[0] += 2
+        return out
+
+    monkeypatch.setattr(digitpow.sweep, "split_verdicts", verdicts)
+    argv = ["verify", "--max-n", "130", "--jobs", "1", "--out", str(tmp_path / "rows.csv")]
+    assert main(argv) == 1
+    lines = fail_lines(capsys.readouterr().err)
+    assert lines[0] == "FAIL n=114: split bound failed at k=[3, 4, 5, 6, 7, 8, 9, 10, 11, 12]"
+    assert lines[1].startswith("FAIL n=114: failed lemma2_ok,")
+    assert conversions() == 2
+
+
 def test_sweep_checkpoint_cadence(tmp_path):
     ckdir = tmp_path / "ck"
     dp.run_sweep(dp.SweepConfig(max_n=25, checkpoint_dir=ckdir, checkpoint_every=10))
@@ -473,6 +534,21 @@ def test_cli_window_zero_is_refused_before_any_output(tmp_path, capsys, monkeypa
     assert main(argv) == 2
     assert capsys.readouterr().err == "digitpow verify: error: window must be >= 1, got 0\n"
     assert out.read_text() == ""
+
+
+@pytest.mark.parametrize("seconds", ["nan", "-1"])
+def test_cli_verify_rejects_bad_checkpoint_seconds(tmp_path, capsys, monkeypatch, seconds):
+    # NaN would turn time checkpoints off, and -1 would save every row;
+    # both are refused with the other settings, before any output or fork
+    monkeypatch.setattr(digitpow.sweep, "Forked", None)  # a fork would call None
+    out = tmp_path / "rows.csv"
+    argv = ["verify", "--max-n", "50", "--checkpoint-dir", str(tmp_path / "ck"),
+            "--checkpoint-seconds", seconds, "--jobs", "2", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"digitpow verify: error: checkpoint_seconds must be >= 0, got {float(seconds)}\n"
+    assert out.read_text() == ""
+    assert not (tmp_path / "ck").exists()
 
 
 def test_cli_verify_rejects_power_of_ten(capsys):
@@ -606,17 +682,21 @@ def test_cli_decompose_json(capsys):
     assert obj["gap_ok"] is True and obj["fourpow_ok"] is True
 
 
-def test_cli_decompose_failing_verdicts(capsys):
-    # 20**3 = 8000: its only nonzero digit is not at position 0
+def test_cli_decompose_reports_no_verdicts_off_base_two(capsys):
+    # 20**3 = 8000 would fail e_1 = 0, but the position claims are about
+    # 2**n: like a sweep, decompose leaves them out for other multipliers
     assert main(["decompose", "3", "--multiplier", "20"]) == 0
     out = capsys.readouterr().out
     assert "terms: (8,3)" in out
-    assert "gap_ok=1 fourpow_ok=0" in out
+    assert "gap_ok" not in out and "fourpow_ok" not in out
+    assert main(["decompose", "3", "--multiplier", "20", "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["gap_ok"] is None and obj["fourpow_ok"] is None
 
 
 @pytest.mark.parametrize("n,multiplier", [(3, 20), (20, 57), (300, 2)])
 def test_cli_decompose_json_matches_oracle(capsys, n, multiplier):
-    # 57**20 has a gap wider than the bound and fails both verdicts
+    # the verdicts are reported for 2**n only
     v = multiplier**n
     assert main(["decompose", str(n), "--multiplier", str(multiplier),
                  "--format", "json"]) == 0
@@ -624,8 +704,22 @@ def test_cli_decompose_json_matches_oracle(capsys, n, multiplier):
     assert obj["terms"] == [list(t) for t in decompose(v)]
     assert obj["s"] == oracle_digit_sum(n, multiplier)
     assert obj["digit_count"] == len(str(v))
-    assert obj["gap_ok"] is all(gap_inequality_check(v))
-    assert obj["fourpow_ok"] is four_power_bound_check(v)
+    if multiplier == 2:
+        assert obj["gap_ok"] is all(gap_inequality_check(v))
+        assert obj["fourpow_ok"] is four_power_bound_check(v)
+    else:
+        assert obj["gap_ok"] is None and obj["fourpow_ok"] is None
+
+
+def test_cli_decompose_walks_by_step_forward(capsys, monkeypatch):
+    # by 2**29 per multiplication, then 1000 % 29 = 14 single steps
+    steps = []
+    real = dp.PowerState.step
+    monkeypatch.setattr(dp.PowerState, "step", lambda self: steps.append(self.n) or real(self))
+    assert main(["decompose", "1000", "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["terms"] == [list(t) for t in decompose(2**1000)]
+    assert len(steps) == 14
 
 
 def test_cli_oeis_clean(tmp_path, capsys):

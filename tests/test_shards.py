@@ -110,11 +110,11 @@ def fail_at(monkeypatch, bad_n: int) -> None:
     # that holds 2**bad_n raises
     real = digitpow.sweep.split_verdicts
 
-    def verdicts(rows):
+    def verdicts(rows, base):
         if any(dp.to_decimal_string(dp.DecimalNat(limbs)) == str(2**bad_n)
                for limbs, _ in rows):
             raise dp.CheckpointError(f"injected at n={bad_n}")
-        return real(rows)
+        return real(rows, base)
 
     monkeypatch.setattr(digitpow.sweep, "split_verdicts", verdicts)
 
@@ -163,20 +163,21 @@ def assert_balanced() -> None:
 
 
 def test_plan_shards_balances_split_cost():
-    # split verdicts share one radix conversion per batch, so a row that
-    # checks splits grows about as n too; the later shard of 1..100000 is
-    # the shorter, cut near where verify's own band times balance (66500)
+    # a band's split verdicts follow from one radix conversion, so a row
+    # that checks splits grows about as n too; the later shard of
+    # 1..100000 is the shorter, cut near where verify's own band times
+    # balance (60700)
     (_, cut), _ = plan_shards(1, 100_000, 2)
-    assert 64_000 < cut < 65_000
-    assert abs(cut - 66_500) < 2_500
+    assert 59_500 < cut < 60_500
+    assert abs(cut - 60_700) < 2_500
     assert_balanced()
 
 
 def test_plan_shards_balances_stats_cost():
     # a row that checks no splits costs about n + ROW_BASE as well: the
-    # same cut lies near where stats' own band times balance (61803)
+    # same cut lies near where stats' own band times balance (59200)
     (_, cut), _ = plan_shards(1, 100_000, 2)
-    assert abs(cut - 61_803) < 3_000
+    assert abs(cut - 59_200) < 3_000
     assert_balanced()
 
 
