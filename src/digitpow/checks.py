@@ -60,54 +60,44 @@ trailing zeros are read from the row's own limbs; v2 needs a radix
 conversion, x mod 2**K (bignum.mod_pow2), which is almost all of a
 row's split cost.
 
-split_verdicts shares one conversion among consecutive rows
-x_0, ..., x_l of a doubling chain.  bignum.is_doubled certifies each
-link x_{j+1} == 2 * x_j from the limbs alone: with t_i = 2 * old_i -
-new_i and carries c_0 = 0, c_{i+1} = [t_i >= 10**9 - 1], the equations
-t_i + c_i == 10**9 * c_{i+1} and c_M = 0 make
-sum((t_i + c_i - 10**9 * c_{i+1}) * 10**(9i)) telescope to
-2 * old - new, so they prove the identity for any integers c_i, not
-only for the carries the doubling computed.  Then x_l = 2**(l-j) * x_j
-and v2(x_j) = v2(x_l) - (l - j) for nonzero values.  With
-b = max_j(kmax_j + l - j) and r = x_l mod 2**b: r = 0 puts every
-v2(x_j) at or above kmax_j, and otherwise v2(x_j) = v2(r) - (l - j)
-exactly.  A link that fails its certificate cuts the rows there, and
-each piece anchors at its own last row, so a broken chain costs one
-conversion per piece and still gets exact verdicts.  A zero row fails
-at every position whatever v2 says, and only zero is certified to
-double into zero, so a zero anchor needs no path of its own.
+split_verdicts decides consecutive rows of a doubling chain in one
+pass, in step order, and converts only where a row cannot follow the
+row before it.  The state carried from row to row is a SplitBase: the
+row's limbs and what is proven of v2 of their value, exactly v2 when
+v2 < bits, only v2 >= bits otherwise.  When bignum.is_doubled
+certifies, from the limbs alone, that a row holds twice the state's
+value (a proof for any limbs, see its docstring), the row's v2 is one
+more, exact or at least bits + 1, and that decides every k <= kmax
+when it is exact or bits + 1 >= kmax.  Any other row, the first with
+no base among them, converts on its own: r = x mod 2**kmax, and v2 =
+v2(r) exactly when r != 0, else v2 >= kmax.  A zero row converts to 0
+and takes kmax as its trailing zeros, so it fails at every position;
+only zero is certified to double into zero, and zero's v2 is never
+exact, so a row after a zero follows it only with bits enough, and
+fails at every position too.
 
-A batch need not convert at all when the batch before it closed on the
-row just before its first: split_verdicts returns that last row as a
-base, (a copy of its limbs, v2, bits), with v2 exact when v2 < bits and
-only v2 >= bits otherwise, and the next call takes it back.  When
-is_doubled(base, x_0) certifies the link, x_l = 2**(l+1) * base, so
-v2(x_l) = v2(base) + l + 1, exact or at least bits + l + 1, with no
-conversion.  That is enough when v2(base) is exact, or when
-kmax_j <= bits + j + 1 for every row j; otherwise the batch converts
-as above.  In a sweep it is always enough: kmax = min(n,
-digit_count - 1) grows by at most 1 per step, and a base whose v2 is
-only bounded has bits at least its own kmax.  So an
-unbroken chain converts once, for its first batch, and after that only
-a piece that follows a failed link converts.
+In a sweep the bits always suffice: kmax = min(n, digit_count - 1)
+grows by at most 1 per step, a converted row knows kmax bits of
+itself, and a certified row one more than the row before.  So an
+unbroken chain converts once, at its first row, and then only a row
+whose link fails converts; the rows after it follow from it.
 
-The anchor is the last row, never the first.  The sweep holds the limb
-arrays that each row's other checks read and decides the batch when
-its last row is in: every link is certified, and r converted, from
-the arrays as they are then.  A value changed at any moment after its
-own checks either breaks a link, and is then decided alone from what
-it holds, or, as the anchor, shows in r.  A first-row anchor would be
-converted when the batch opens, and the later rows' verdicts would
-rest on that early read: a value changed between two steps is doubled
-from its changed self, so a link certified at the next step passes,
-and the change never meets the conversion.  The carried base is an
-early read of the same kind, so split_verdicts copies the last row's
-limbs as the batch closes, decides that row from the copy, and returns
-the copy, read-only, as the base, which nothing ever steps from.  If
-the held array changes after the batch closes, the next value is
-doubled from the changed array, the link from the unchanged copy fails
-its certificate, and the next batch converts on its own: the change
-cannot ride the earlier conversion.
+Every link is read when the batch closes.  The sweep holds the limb
+arrays that each row's other checks read and calls split_verdicts when
+the batch's last row is in, so every link is certified, and every
+conversion made, from the arrays as they are then: each verdict is
+exact for the value its row holds at that moment, whatever changed
+after the row's other checks.
+
+The base one call returns is read by the next call, when the next
+batch closes, so it must still hold the value its v2 was proven of.
+So split_verdicts copies the last row's limbs before reading
+anything, decides that row from the copy, and returns the copy,
+read-only, as the base, which nothing ever steps from.  If the held
+array changes after its batch closes, the next value is doubled from
+the changed array, the link from the unchanged copy fails its
+certificate, and that row converts on its own: the change cannot ride
+the earlier conversion.
 """
 
 from __future__ import annotations
@@ -212,9 +202,10 @@ def check_positions(limbs: np.ndarray, table: PositionTable) -> PositionChecks:
 
 
 class SplitBase(NamedTuple):
-    """A closed batch's last row, kept to anchor the next batch: a
-    private, read-only copy of its limbs and what is proven of v2 of
-    their value, exactly v2 when v2 < bits, else only v2 >= bits."""
+    """A decided row, which the next row may follow: its limbs and what
+    is proven of v2 of their value, exactly v2 when v2 < bits, else
+    only v2 >= bits.  The one split_verdicts returns holds a private,
+    read-only copy of the batch's last row."""
 
     limbs: np.ndarray
     v2: int
@@ -235,8 +226,8 @@ def split_verdicts(
     powers of two, nor be a chain, nor follow the base, and a batch of
     one row is the check of one value.  Also returns the base for the
     next call: a copy of rows[-1]'s limbs, taken before anything is
-    read from them.  See the module docstring for how one conversion
-    decides them all.
+    read from them.  See the module docstring for why a chain needs
+    only one conversion.
     """
     if not rows:
         return [], base
@@ -244,44 +235,20 @@ def split_verdicts(
     limbs = held.copy()
     limbs.flags.writeable = False
     rows = [*rows[:-1], (limbs, kmax)]
-    # only the first piece can follow the base: each later one starts
-    # after a link that failed
-    if base is not None and not is_doubled(base.limbs, rows[0][0]):
-        base = None
     out: list[tuple[int, list[int]]] = []
-    start = 0
-    for end in range(1, len(rows) + 1):
-        if end == len(rows) or not is_doubled(rows[end - 1][0], rows[end][0]):
-            verdicts, base = _chain_verdicts(rows[start:end], base if start == 0 else None)
-            out += verdicts
-            start = end
-    return out, base
-
-
-def _chain_verdicts(
-    rows: Sequence[tuple[np.ndarray, int]], base: SplitBase | None
-) -> tuple[list[tuple[int, list[int]]], SplitBase]:
-    """split_verdicts of rows each certified twice the one before, the
-    first twice base's value if base is given."""
-    last = len(rows) - 1
-    anchor = rows[-1][0]
-    # x_l = 2**(l-j) * x_j, so v2(x_j) >= kmax_j exactly when
-    # 2**(kmax_j + l - j) divides x_l
-    bits = max((k + last - j for j, (_, k) in enumerate(rows) if k >= 1), default=0)
-    if base is not None and (base.v2 < base.bits or base.bits + last + 1 >= bits):
-        # x_l = 2**(l+1) * base: v2 and the bits known of it move up by l + 1
-        v2_anchor, bits = base.v2 + last + 1, base.bits + last + 1
-    else:
-        r = mod_pow2(DecimalNat(anchor), bits)
-        v2_anchor = (r & -r).bit_length() - 1 if r else bits
-    out: list[tuple[int, list[int]]] = []
-    for j, (limbs, kmax) in enumerate(rows):
-        if kmax < 1:
-            out.append((0, []))
-        elif limbs.size == 0:
-            out.append((kmax, list(range(1, kmax + 1))))  # A = 0 at every position
+    for limbs, kmax in rows:
+        if (
+            base is not None
+            and (base.v2 < base.bits or base.bits + 1 >= kmax)
+            and is_doubled(base.limbs, limbs)
+        ):
+            # twice base's value: v2 and the bits known of it move up by 1
+            v2, bits = base.v2 + 1, base.bits + 1
         else:
-            v2 = min(v2_anchor - (last - j), kmax)
-            zeros = trailing_zero_digits(DecimalNat(limbs))
-            out.append((kmax, [*range(1, min(zeros, kmax) + 1), *range(v2 + 1, kmax + 1)]))
-    return out, SplitBase(anchor, v2_anchor, bits)
+            bits = kmax
+            r = mod_pow2(DecimalNat(limbs), bits)
+            v2 = (r & -r).bit_length() - 1 if r else bits
+        zeros = trailing_zero_digits(DecimalNat(limbs)) if limbs.size else kmax
+        out.append((kmax, [*range(1, min(zeros, kmax) + 1), *range(v2 + 1, kmax + 1)]))
+        base = SplitBase(limbs, v2, bits)
+    return out, base

@@ -11,30 +11,16 @@ give byte-identical files.  JSON output is one object per line carrying
 the CSV fields plus m and the remaining per-n verdicts.
 
 The split bound is checked at every position k in 1..digit_count-1
-for every n.  No low part A = x mod 10**k of the value x is formed:
-2**k | A exactly when k <= v2(x), because 2**k | 10**k; A > 0 exactly
-when k exceeds the number of trailing zero digits of x; and a positive
-multiple of 2**k is at least 2**k.  So v2(x) and the trailing zeros
-decide every k, and v2 takes a radix conversion, x mod 2**K, straight
-from the limbs.  A whole band shares one: a split row waits, holding
-the limb array its other checks read, until its batch closes, and
-checks.split_verdicts then certifies each row as half the next from
-the limbs.  The band's first batch reads every row's v2 off one
-conversion of its last row.  Each later batch reads it off the batch
-before: as a batch closes, split_verdicts copies its last row's limbs,
-decides that row from the copy and hands the copy back with its v2 as
-the next batch's base, and a certified link from the base into the
-next batch's first row carries the v2 over, 2**(rows since the base)
-times the base's.  The bits known of it always suffice, because
-kmax = min(n, digit_count - 1) grows by at most 1 per step.  The copy
-is private and read-only and nothing steps from it, so a held array
-changed after its batch closes breaks the link from the copy, and the
-next batch converts on its own (see checks.py).  A batch closes at a
-band's first row, alone, so that row leaves as early as it would on
-its own; then every SPLIT_BATCH rows; at every checkpoint row, before
-the save; and at the band's end.  Its rows are then noted, tallied and
-written in n order, in one write.  Rows that check no splits leave one
-by one.
+for every n, by checks.split_verdicts, which decides it from v2 and the
+trailing zeros of the value and follows each row from the one before
+by a doubling certificate, so that a band converts once (see
+checks.py).  A split row waits, holding the limb array its other
+checks read, until its batch closes, and each batch passes on the base
+that the batch before it returned.  A batch closes at a band's first
+row, alone, so that row leaves as early as it would on its own; then
+every SPLIT_BATCH rows; at every checkpoint row, before the save; and
+at the band's end.  Its rows are then noted, tallied and written in n
+order, in one write.  Rows that check no splits leave one by one.
 
 A band of rows is one forward walk of the chain.  It first walks its
 start state, exactly and in place, to just below the first n that its
@@ -163,8 +149,8 @@ class VerificationRecord:
 @dataclass
 class SweepSummary:
     multiplier: int
-    start_n: int
-    max_n: int
+    first_n: int  # the rows emitted, first_n..last_n
+    last_n: int
     rows: int = 0
     elapsed: float = 0.0
     check_failures: dict[str, int] = field(default_factory=dict)
@@ -179,7 +165,7 @@ class SweepSummary:
         state = "ok" if self.ok else "FAILED " + str(self.check_failures)
         rate = self.rows / self.elapsed if self.elapsed > 0 else 0.0
         return (
-            f"rows {self.rows} (n={self.start_n + 1}..{self.max_n}, "
+            f"rows {self.rows} (n={self.first_n}..{self.last_n}, "
             f"multiplier={self.multiplier}) {state} "
             f"in {self.elapsed:.1f}s ({rate:.0f} rows/s, {self.jobs} "
             f"{'job' if self.jobs == 1 else 'jobs'})"
@@ -519,7 +505,7 @@ def run_sweep(
             shutil.rmtree(stage, ignore_errors=True)
 
     summary = SweepSummary(
-        state.multiplier, start_n, cfg.max_n, tally.rows, time.perf_counter() - t0,
+        state.multiplier, lo, emit_hi, tally.rows, time.perf_counter() - t0,
         tally.check_failures, tally.failure_lines, jobs=len(bands),
     )
     return summary, tally.records if collect else []

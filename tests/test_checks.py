@@ -180,12 +180,35 @@ def one_row(row: tuple) -> tuple[int, list[int]]:
     return split_verdicts([row])[0][0]
 
 
+def oracle_row(v: int, kmax: int) -> tuple[int, list[int]]:
+    """The verdicts of v at positions 1..kmax, each low part formed
+    directly; 0, whose low part is 0 everywhere, fails at every k."""
+    if not v:
+        return kmax, list(range(1, kmax + 1))
+    return kmax, [k for k in range(1, kmax + 1) if verify_split(v, k).ok is False]
+
+
+def doubling_runs(segments, data) -> tuple[list[tuple], list[tuple[int, int]]]:
+    """Rows in doubling runs x0 * 2**j, j < count, for each (x0, count)
+    of segments (a run may happen to continue the one before), each
+    with any kmax in 0..digit_count-1; returns the rows and their
+    (value, kmax)."""
+    rows, values = [], []
+    for x0, count in segments:
+        for j in range(count):
+            v = x0 << j
+            kmax = data.draw(st.integers(0, len(str(v)) - 1 if v else 5))
+            rows.append(split_row(v, kmax))
+            values.append((v, kmax))
+    return rows, values
+
+
 @pytest.mark.parametrize("x0", [3 * 2**40, 5**30, 7 * 10**12, 3**50 * 10**3, 2**50, 0])
 def test_split_verdicts_equal_per_row(x0):
     # chains x0 * 2**j of non-powers (and of 0, and of a power), every
     # batch length up to 2 * SPLIT_BATCH, cut at every position: rows
     # c.. come from the chain of y0, so the link into row c is no
-    # doubling, and each piece must anchor on its own
+    # doubling, and row c must convert on its own
     y0 = 3 * x0 if x0 else 1
     length = 2 * SPLIT_BATCH
     chain_x = [split_row(x0 << j) for j in range(length)]
@@ -207,22 +230,17 @@ def test_split_verdicts_equal_per_row(x0):
                 min_size=1, max_size=4),
        st.data())
 def test_split_verdicts_equal_per_row_on_any_rows(segments, data):
-    # rows in doubling runs from arbitrary starts (a run may happen to
-    # continue the one before), each with any kmax in 0..digit_count-1
-    rows = []
-    for x0, count in segments:
-        for j in range(count):
-            v = x0 << j
-            top = len(str(v)) - 1 if v else 5
-            rows.append(split_row(v, data.draw(st.integers(0, top))))
-    assert split_verdicts(rows)[0] == [one_row(row) for row in rows]
+    # doubling runs from arbitrary starts, zeros and non-powers among
+    # them, decided in one batch against the low parts formed directly
+    rows, values = doubling_runs(segments, data)
+    assert split_verdicts(rows)[0] == [oracle_row(v, kmax) for v, kmax in values]
 
 
-def test_split_verdicts_zero_anchor_and_empty():
+def test_split_verdicts_zero_rows_and_empty():
     assert split_verdicts([]) == ([], None)
     zero = split_row(0)
     assert split_verdicts([zero, zero])[0] == [(3, [1, 2, 3])] * 2
-    # 2 * 5 * 10**20 is no zero: the link into the zero anchor is cut
+    # 2 * 5 * 10**20 is no zero: the link into the zero row fails
     assert split_verdicts([split_row(5 * 10**20), zero])[0] == [
         one_row(split_row(5 * 10**20)), (3, [1, 2, 3])
     ]
@@ -230,7 +248,7 @@ def test_split_verdicts_zero_anchor_and_empty():
 
 def carry_base(rows: list, cuts: list[int]) -> list[tuple[int, list[int]]]:
     """rows decided in batches rows[a:b] between the cuts, each batch
-    anchored on the base the one before returned."""
+    passed the base the one before returned."""
     out, base = [], None
     for a, b in zip([0, *cuts], [*cuts, len(rows)]):
         verdicts, base = split_verdicts(rows[a:b], base)
@@ -247,17 +265,11 @@ def carry_base(rows: list, cuts: list[int]) -> list[tuple[int, list[int]]]:
                 min_size=1, max_size=4),
        st.data())
 def test_split_verdicts_carry_the_base_across_batches(segments, data):
-    # doubling runs from arbitrary starts (zeros and non-powers among
-    # them) with any kmax, cut into batches anywhere: a batch may start
-    # a new run, so its base does not double into it
-    rows = []
-    for x0, count in segments:
-        for j in range(count):
-            v = x0 << j
-            top = len(str(v)) - 1 if v else 5
-            rows.append(split_row(v, data.draw(st.integers(0, top))))
+    # the same rows cut into batches anywhere: a batch may start a new
+    # run, so its base does not double into it
+    rows, values = doubling_runs(segments, data)
     cuts = sorted(data.draw(st.sets(st.integers(1, len(rows) - 1))) if len(rows) > 1 else [])
-    assert carry_base(rows, cuts) == [one_row(row) for row in rows]
+    assert carry_base(rows, cuts) == [oracle_row(v, kmax) for v, kmax in values]
 
 
 def test_split_verdicts_convert_once_per_unbroken_chain(monkeypatch):

@@ -337,17 +337,25 @@ def fail_lines(err: str) -> list[str]:
     return [line for line in err.splitlines() if line.startswith("FAIL")]
 
 
-def test_verify_catches_a_dropped_carry(tmp_path, capsys, monkeypatch):
-    # the step to 2**101 drops its lowest carry, out of limb 0, so the
-    # value loses 10**9.  Row 101 sits inside the batch 98..113: the
-    # link into it fails its certificate, the rows below keep their
-    # own verdicts, and every row from 101 on is decided from its value
+# rows of verify --max-n 130 whose step carries out of limb 0 and not
+# out of the top limb: 114 opens the batch 114..129, 101 sits inside
+# 98..113, and 97 closes 82..97
+DROPPED_CARRY_ROWS = [114, 101, 97]
+
+
+@pytest.mark.parametrize("n", DROPPED_CARRY_ROWS)
+def test_verify_catches_a_dropped_carry(tmp_path, capsys, monkeypatch, n):
+    # the step to 2**n drops its lowest carry, out of limb 0, so the
+    # value loses 10**9.  The link into row n fails its certificate,
+    # from the row before it or from the base of the batch before; the
+    # rows below keep their own verdicts, and every row from n on is
+    # decided from its value
     real = digitpow.power.double_in_place
     steps = []
 
     def mutant(x):
         steps.append(None)
-        if len(steps) != 101:
+        if len(steps) != n:
             return real(x)
         t = x.limbs + x.limbs
         carry = t >= dp.LIMB_BASE
@@ -361,8 +369,8 @@ def test_verify_catches_a_dropped_carry(tmp_path, capsys, monkeypatch):
     argv = ["verify", "--max-n", "130", "--jobs", "1", "--out", str(tmp_path / "rows.csv")]
     assert main(argv) == 1
     lines = fail_lines(capsys.readouterr().err)
-    assert lines[0] == "FAIL n=101: split bound failed at k=[10, 11, 12, 13, 14, 15, 16, 17, 18, 19]"
-    assert lines[1].startswith("FAIL n=101: failed lemma2_ok,")
+    assert lines[0] == f"FAIL n={n}: split bound failed at k=[10, 11, 12, 13, 14, 15, 16, 17, 18, 19]"
+    assert lines[1].startswith(f"FAIL n={n}: failed lemma2_ok,")
 
 
 def test_verify_catches_a_held_row_changed_before_its_batch_closes(tmp_path, capsys, monkeypatch):
@@ -417,11 +425,12 @@ def test_verify_converts_once_per_band(tmp_path, capsys, monkeypatch, jobs):
     assert conversions() == jobs
 
 
-def test_a_dropped_carry_costs_one_more_conversion(tmp_path, capsys, monkeypatch):
-    # the link into row 101 fails, so rows 101..113 convert on their
-    # own; the batches after them follow from row 113 again
+@pytest.mark.parametrize("n", DROPPED_CARRY_ROWS)
+def test_a_dropped_carry_costs_one_more_conversion(tmp_path, capsys, monkeypatch, n):
+    # the link into row n fails, so row n converts on its own; the rows
+    # after it follow from it, in its batch and across the batch ends
     conversions = count_conversions(tmp_path, monkeypatch)
-    test_verify_catches_a_dropped_carry(tmp_path, capsys, monkeypatch)
+    test_verify_catches_a_dropped_carry(tmp_path, capsys, monkeypatch, n)
     assert conversions() == 2
 
 
@@ -429,8 +438,8 @@ def test_verify_catches_a_batch_end_changed_after_its_batch_closes(tmp_path, cap
     # row 113 closes the batch 98..113 and then gains 2 in place, before
     # the step to 114 doubles it.  Row 113 was decided from a copy taken
     # as its batch closed, and the next batch's base is that copy, so the
-    # link into row 114 = 2**114 + 4 fails and the batch 114..129
-    # converts on its own
+    # link into row 114 = 2**114 + 4 fails, row 114 converts on its own
+    # and the rows after it follow from it
     conversions = count_conversions(tmp_path, monkeypatch)
     real = digitpow.sweep.split_verdicts
 
@@ -594,6 +603,19 @@ def test_cli_stats_step_back_failure(capsys, monkeypatch):
     assert err.splitlines() == [
         "digitpow stats: error: value at n=3 is not divisible by 2; state is corrupt"
     ]
+
+
+def test_cli_summary_names_the_emitted_rows(tmp_path, capsys):
+    out = str(tmp_path / "rows.csv")
+    assert main(["stats", "--range", "50:60", "--jobs", "1", "--out", out]) == 0
+    assert "stats: rows 11 (n=50..60, multiplier=2) ok" in capsys.readouterr().err
+    # resumed above the range's start, it emits from the checkpoint on
+    ckpt = dp.save_checkpoint(
+        dp.PowerState(54, dp.from_decimal_string(str(2**54)), 2), tmp_path / "ck.txt"
+    )
+    assert main(["stats", "--range", "50:60", "--start-checkpoint", str(ckpt),
+                 "--jobs", "1", "--out", out]) == 0
+    assert "stats: rows 6 (n=55..60, multiplier=2) ok" in capsys.readouterr().err
 
 
 def test_cli_stats(tmp_path, capsys):
