@@ -15,7 +15,6 @@ from .bignum import (
     to_decimal_string,
     zero,
 )
-from .checks import split_verdicts
 from .intlog import (
     bound_table,
     digit_sum_exceeds_log4,

@@ -60,21 +60,20 @@ trailing zeros are read from the row's own limbs; v2 needs a radix
 conversion, x mod 2**K (bignum.mod_pow2), which is almost all of a
 row's split cost.
 
-split_verdicts decides consecutive rows of a doubling chain in one
-pass, in step order, and converts only where a row cannot follow the
-row before it.  The state carried from row to row is a SplitBase: the
-row's limbs and what is proven of v2 of their value, exactly v2 when
-v2 < bits, only v2 >= bits otherwise.  When bignum.is_doubled
-certifies, from the limbs alone, that a row holds twice the state's
-value (a proof for any limbs, see its docstring), the row's v2 is one
-more, exact or at least bits + 1, and that decides every k <= kmax
-when it is exact or bits + 1 >= kmax.  Any other row, the first with
-no base among them, converts on its own: r = x mod 2**kmax, and v2 =
-v2(r) exactly when r != 0, else v2 >= kmax.  A zero row converts to 0
-and takes kmax as its trailing zeros, so it fails at every position;
-only zero is certified to double into zero, and zero's v2 is never
-exact, so a row after a zero follows it only with bits enough, and
-fails at every position too.
+split_verdict decides one row of a doubling chain from the row
+before it, and converts only where the row cannot follow that row.
+The state carried from row to row is a SplitBase: the row's limbs and
+what is proven of v2 of their value, exactly v2 when v2 < bits, only
+v2 >= bits otherwise.  When bignum.is_doubled certifies, from the limbs
+alone, that a row holds twice the base's value (a proof for any limbs,
+see its docstring), the row's v2 is one more, exact or at least bits +
+1, and that decides every k <= kmax when it is exact or bits + 1 >=
+kmax.  Any other row, the first with no base, converts on its own: r =
+x mod 2**kmax, and v2 = v2(r) exactly when r != 0, else v2 >= kmax.  A
+zero row converts to 0 and takes kmax as its trailing zeros, so it
+fails at every position; only zero is certified to double into zero,
+and zero's v2 is never exact, so a row after a zero follows it only
+with bits enough, and fails at every position too.
 
 In a sweep the bits always suffice: kmax = min(n, digit_count - 1)
 grows by at most 1 per step, a converted row knows kmax bits of
@@ -82,28 +81,19 @@ itself, and a certified row one more than the row before.  So an
 unbroken chain converts once, at its first row, and then only a row
 whose link fails converts; the rows after it follow from it.
 
-Every link is read when the batch closes.  The sweep holds the limb
-arrays that each row's other checks read and calls split_verdicts when
-the batch's last row is in, so every link is certified, and every
-conversion made, from the arrays as they are then: each verdict is
-exact for the value its row holds at that moment, whatever changed
-after the row's other checks.
-
-The base one call returns is read by the next call, when the next
-batch closes, so it must still hold the value its v2 was proven of.
-So split_verdicts copies the last row's limbs before reading
-anything, decides that row from the copy, and returns the copy,
-read-only, as the base, which nothing ever steps from.  If the held
-array changes after its batch closes, the next value is doubled from
-the changed array, the link from the unchanged copy fails its
-certificate, and that row converts on its own: the change cannot ride
-the earlier conversion.
+Each row is decided from a private, read-only copy of its limbs, taken
+before anything is read from them, and that copy is the base the next
+row links to.  So a base always holds the value its v2 was proven of:
+if the row's own array changes after its verdict, the next value is
+doubled from the changed array, the link from the unchanged copy fails
+its certificate, and that row converts on its own rather than linking
+to itself.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -202,53 +192,42 @@ def check_positions(limbs: np.ndarray, table: PositionTable) -> PositionChecks:
 
 
 class SplitBase(NamedTuple):
-    """A decided row, which the next row may follow: its limbs and what
-    is proven of v2 of their value, exactly v2 when v2 < bits, else
-    only v2 >= bits.  The one split_verdicts returns holds a private,
-    read-only copy of the batch's last row."""
+    """A decided row, which the next row may follow: its limbs, a
+    private read-only copy, and what is proven of v2 of their value,
+    exactly v2 when v2 < bits, else only v2 >= bits."""
 
     limbs: np.ndarray
     v2: int
     bits: int
 
 
-def split_verdicts(
-    rows: Sequence[tuple[np.ndarray, int]], base: SplitBase | None = None
-) -> tuple[list[tuple[int, list[int]]], SplitBase | None]:
-    """Split-bound verdicts of consecutive rows of a doubling chain.
+def split_verdict(
+    limbs: np.ndarray, kmax: int, base: SplitBase | None = None
+) -> tuple[list[int], SplitBase]:
+    """Split-bound verdict of one row of a doubling chain.
 
-    rows holds (limbs, kmax) for rows j = 0..l in step order, where
-    limbs are row j's base-10**9 limbs and kmax its highest split
+    limbs are the row's base-10**9 limbs and kmax its highest split
     position, at most digit_count-1 so that the high part is positive.
-    base is what the call before returned, for the row just before
-    rows[0], or None.  Returns (kmax, failed positions) per row, each
-    decided exactly from the row's own value: the rows need not hold
-    powers of two, nor be a chain, nor follow the base, and a batch of
-    one row is the check of one value.  Also returns the base for the
-    next call: a copy of rows[-1]'s limbs, taken before anything is
-    read from them.  See the module docstring for why a chain needs
-    only one conversion.
+    base is what the call for the row before returned, or None.
+    Returns the failed positions in 1..kmax, decided exactly from the
+    row's own value: the row need not hold a power of two nor follow
+    the base.  Also returns the base for the next row, which holds a
+    copy of limbs taken before anything is read from them.  See the
+    module docstring for why a chain needs only one conversion.
     """
-    if not rows:
-        return [], base
-    held, kmax = rows[-1]
-    limbs = held.copy()
+    limbs = limbs.copy()
     limbs.flags.writeable = False
-    rows = [*rows[:-1], (limbs, kmax)]
-    out: list[tuple[int, list[int]]] = []
-    for limbs, kmax in rows:
-        if (
-            base is not None
-            and (base.v2 < base.bits or base.bits + 1 >= kmax)
-            and is_doubled(base.limbs, limbs)
-        ):
-            # twice base's value: v2 and the bits known of it move up by 1
-            v2, bits = base.v2 + 1, base.bits + 1
-        else:
-            bits = kmax
-            r = mod_pow2(DecimalNat(limbs), bits)
-            v2 = (r & -r).bit_length() - 1 if r else bits
-        zeros = trailing_zero_digits(DecimalNat(limbs)) if limbs.size else kmax
-        out.append((kmax, [*range(1, min(zeros, kmax) + 1), *range(v2 + 1, kmax + 1)]))
-        base = SplitBase(limbs, v2, bits)
-    return out, base
+    if (
+        base is not None
+        and (base.v2 < base.bits or base.bits + 1 >= kmax)
+        and is_doubled(base.limbs, limbs)
+    ):
+        # twice base's value: v2 and the bits known of it move up by 1
+        v2, bits = base.v2 + 1, base.bits + 1
+    else:
+        bits = kmax
+        r = mod_pow2(DecimalNat(limbs), bits)
+        v2 = (r & -r).bit_length() - 1 if r else bits
+    zeros = trailing_zero_digits(DecimalNat(limbs)) if limbs.size else kmax
+    failed = [*range(1, min(zeros, kmax) + 1), *range(v2 + 1, kmax + 1)]
+    return failed, SplitBase(limbs, v2, bits)

@@ -3,7 +3,7 @@
 `plan_shards` cuts the rows at equal integrals of a row's cost, not at
 equal row counts.  A row costs about n + ROW_BASE: its digit work, and
 since a band's split verdicts follow from one radix conversion
-(checks.split_verdicts) its split work too, grows about as n below
+(checks.split_verdict) its split work too, grows about as n below
 n = 1e5, and a fixed per-row cost is as large as that work at
 n = ROW_BASE.  One model serves every sweep: timed side by side, the
 two bands of a sharded n = 1..100000 sweep cut by it (at 60000) ended

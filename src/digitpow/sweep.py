@@ -11,16 +11,15 @@ give byte-identical files.  JSON output is one object per line carrying
 the CSV fields plus m and the remaining per-n verdicts.
 
 The split bound is checked at every position k in 1..digit_count-1
-for every n, by checks.split_verdicts, which decides it from v2 and the
+for every n, by checks.split_verdict, which decides it from v2 and the
 trailing zeros of the value and follows each row from the one before
 by a doubling certificate, so that a band converts once (see
-checks.py).  A split row waits, holding the limb array its other
-checks read, until its batch closes, and each batch passes on the base
-that the batch before it returned.  A batch closes at a band's first
-row, alone, so that row leaves as early as it would on its own; then
-every SPLIT_BATCH rows; at every checkpoint row, before the save; and
-at the band's end.  Its rows are then noted, tallied and written in n
-order, in one write.  Rows that check no splits leave one by one.
+checks.py).  Each row is decided and tallied as it steps, from the
+limbs its other checks read.  Batches set only the write cadence:
+split rows' text is written together at a band's first row, alone,
+so that row leaves as early as it would on its own; then every
+SPLIT_BATCH rows; at every checkpoint row, before the save; and at the
+band's end.  Rows that check no splits are written one by one.
 
 A band of rows is one forward walk of the chain.  It first walks its
 start state, exactly and in place, to just below the first n that its
@@ -40,11 +39,10 @@ the first.  Each child walks its copy of the start state to its own
 band and checks it into a buffer; the parent checks the first band,
 streaming it to `out`, then writes each child's text in n order and
 merges its failure counts, records, failure lines and log lines.  Every
-row is still decided from its own value: its split verdict from the
-limbs it held when its batch closed, tied to its band's conversion by
-certificates or, where one fails, converted on its own.  Every
-running_mean comes from its own window.  So the output bytes depend
-neither on `jobs` nor on where the batches fall.
+row is still decided from its own value: its split verdict tied to
+its band's conversion by certificates or, where one fails, converted
+on its own.  Every running_mean comes from its own window.  So the
+output bytes depend neither on `jobs` nor on where the batches fall.
 
 A row's running_mean comes from a rolling integer sum of its window's
 terms floor(s * 10**16 / n), which brackets the exact sum; only when a
@@ -81,7 +79,7 @@ from typing import IO, Callable
 import numpy as np
 
 from .bignum import DecimalNat, digit_count, digit_sum, digit_tally
-from .checks import PositionTable, check_positions, split_verdicts
+from .checks import PositionTable, check_positions, split_verdict
 from .intlog import digit_count_range, digit_sum_exceeds_log4, floor_log2_pow10
 from .power import PowerState, load_checkpoint, save_checkpoint
 from .ratios import render_fraction, render_quotient, render_scaled
@@ -93,7 +91,7 @@ MAX_LOGGED_FAILURES = 20
 # largest floor(x * log2 10) array built up front (32 MiB, n up to about
 # 1.26e7); a sweep that gets past it rebuilds at twice its digit count
 FLOOR_TABLE_CAP = 2**22
-# split rows decided, and written, together (checks.split_verdicts)
+# split rows written together
 SPLIT_BATCH = 16
 
 CHECK_NAMES = (
@@ -292,40 +290,32 @@ class _RowChecks:
 
 
 class _Tally:
-    """Row count, check failures, records and log lines of one shard.
+    """Row count, check failures, records and failure lines of one shard.
 
-    The parent's own shard logs as it goes.  A forked shard keeps its
-    log lines and failure lines in `events`, in n order, and the parent
-    replays them into its tally when the shards before it are done, so
-    the log, the failure counts and the first MAX_LOGGED_FAILURES
-    failure lines read as one process would have written them.
+    A row logs one failure line, and a shard keeps the first
+    MAX_LOGGED_FAILURES of them.  The parent's own shard logs them as it
+    goes; a forked shard logs nothing, and the parent replays its lines
+    into its tally when the shards before it are done, so the log, the
+    failure counts and the failure lines read as one process would have
+    written them.
     """
 
-    def __init__(self, collect: bool, log: Callable[[str], None] | None, forked: bool):
+    def __init__(self, collect: bool, log: Callable[[str], None] | None):
         self.rows = 0
         self.check_failures: dict[str, int] = {}
         self.failure_lines: list[str] = []
         self.records: list[VerificationRecord] | None = [] if collect else None
-        self.events: list[tuple[bool, str]] = []  # (is a failure line, text)
         self._log = log
-        self._forked = forked
-
-    def note(self, msg: str) -> None:
-        if self._forked:
-            self.events.append((False, msg))
-        elif self._log is not None:
-            self._log(msg)
 
     def failure_line(self, line: str) -> None:
         if len(self.failure_lines) >= MAX_LOGGED_FAILURES:
             return
         self.failure_lines.append(line)
-        if self._forked:
-            self.events.append((True, line))
-        elif self._log is not None:
+        if self._log is not None:
             self._log("FAIL " + line)
 
-    def add(self, rec: VerificationRecord) -> None:
+    def add(self, rec: VerificationRecord, split_failed: list[int]) -> None:
+        """Count the row; split_failed are its failed split positions."""
         self.rows += 1
         if self.records is not None:
             self.records.append(rec)
@@ -333,7 +323,10 @@ class _Tally:
             bad = rec.failed_checks()
             for name in bad:
                 self.check_failures[name] = self.check_failures.get(name, 0) + 1
-            self.failure_line(f"n={rec.n}: failed {','.join(bad)}")
+            line = f"n={rec.n}: failed {','.join(bad)}"
+            if split_failed:
+                line += f"; split bound failed at k={split_failed[:10]}"
+            self.failure_line(line)
 
     def merge(self, later: "_Tally") -> None:
         """Append the tally of the rows just above this one's."""
@@ -342,11 +335,8 @@ class _Tally:
             self.check_failures[name] = self.check_failures.get(name, 0) + count
         if self.records is not None:
             self.records += later.records
-        for is_failure_line, text in later.events:
-            if is_failure_line:
-                self.failure_line(text)
-            else:
-                self.note(text)
+        for line in later.failure_lines:
+            self.failure_line(line)
 
 
 def _walk_to(state: PowerState, n: int) -> None:
@@ -426,27 +416,9 @@ def run_sweep(
                 state.step()
                 window.push(n, digit_sum(state.value))
             row_checks = _RowChecks(state.multiplier, gap, band_lo - 1)
-            # split rows wait here, each with the limb array its checks read
-            pending: list[tuple[VerificationRecord, np.ndarray, int]] = []
-            base = None  # the last batch's last row, copied as it closed
-
-            def close_batch() -> None:
-                nonlocal base
-                rows = [(limbs, kmax) for _, limbs, kmax in pending]
-                verdicts, base = split_verdicts(rows, base)
-                text = []
-                for (rec, _, _), (checked, failed_ks) in zip(pending, verdicts):
-                    rec.lemma2_checked = checked
-                    rec.lemma2_ok = not failed_ks
-                    if failed_ks:
-                        tally.note(f"FAIL n={rec.n}: split bound failed at k={failed_ks[:10]}")
-                    tally.add(rec)
-                    if row_text is not None:
-                        text.append(row_text(rec, *window.push(rec.n, rec.s)))
-                if text:
-                    out.write("".join(text))
-                pending.clear()
-
+            base = None  # the split row before, as split_verdict copied it
+            failed_ks: list[int] = []
+            text: list[str] = []  # rows not yet written
             for n in range(band_lo, band_hi + 1):
                 state.step()
                 rec = row_checks(n, state.value)
@@ -455,17 +427,15 @@ def run_sweep(
                     or time.monotonic() - last_t >= cfg.checkpoint_seconds
                 )
                 if splits:
-                    # the split verdicts wait for the batch's last row; stepping
-                    # rebinds value.limbs, so this array stays as the checks read it
-                    limbs = state.value.limbs
-                    limbs.flags.writeable = False
-                    pending.append((rec, limbs, min(n, rec.digit_count - 1)))
-                    if due or n == band_hi or (n - band_lo) % SPLIT_BATCH == 0:
-                        close_batch()
-                else:
-                    tally.add(rec)
-                    if row_text is not None:
-                        out.write(row_text(rec, *window.push(n, rec.s)))
+                    rec.lemma2_checked = min(n, rec.digit_count - 1)
+                    failed_ks, base = split_verdict(state.value.limbs, rec.lemma2_checked, base)
+                    rec.lemma2_ok = not failed_ks
+                tally.add(rec, failed_ks)
+                if row_text is not None:
+                    text.append(row_text(rec, *window.push(n, rec.s)))
+                    if not splits or due or n == band_hi or (n - band_lo) % SPLIT_BATCH == 0:
+                        out.write("".join(text))
+                        text.clear()
                 if due:
                     save()
         # the last band ends the run with a checkpoint at max_n
@@ -477,11 +447,11 @@ def run_sweep(
 
     def run_forked(band: tuple[int, int]) -> tuple[str, _Tally, list[str]]:
         text = io.StringIO() if out is not None else None
-        tally = _Tally(collect, None, forked=True)
+        tally = _Tally(collect, None)
         saved = check_band(band, text, tally, stage)
         return (text.getvalue() if text is not None else ""), tally, saved
 
-    tally = _Tally(collect, log, forked=False)
+    tally = _Tally(collect, log)
     stage = None  # forked shards' checkpoints wait here until their rows are out
     children: list[Forked] = []
     t0 = time.perf_counter()

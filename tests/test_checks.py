@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 import digitpow as dp
 import digitpow.checks
-from digitpow.checks import PositionTable, check_positions, split_verdicts
-from digitpow.sweep import SPLIT_BATCH
+from digitpow.checks import PositionTable, check_positions, split_verdict
 from oracles import (
     decompose,
     four_power_bound_check,
@@ -27,8 +26,8 @@ def power_state(n: int, multiplier: int = 2) -> dp.PowerState:
 
 
 def scan(state: dp.PowerState, kmax: int) -> tuple[int, list[int]]:
-    """The split verdicts of one value: a batch of one row."""
-    return split_verdicts([(state.value.limbs, kmax)])[0][0]
+    """The split verdicts of one value, decided with no row before it."""
+    return kmax, split_verdict(state.value.limbs, kmax)[0]
 
 
 def positions(v: int):
@@ -177,7 +176,21 @@ def split_row(v: int, kmax: int | None = None) -> tuple:
 
 
 def one_row(row: tuple) -> tuple[int, list[int]]:
-    return split_verdicts([row])[0][0]
+    limbs, kmax = row
+    return kmax, split_verdict(limbs, kmax)[0]
+
+
+def chain(rows: list) -> list[tuple[int, list[int]]]:
+    """(kmax, failed positions) of rows decided one after the other,
+    each passed the base the row before returned."""
+    out, base = [], None
+    for limbs, kmax in rows:
+        failed, base = split_verdict(limbs, kmax, base)
+        out.append((kmax, failed))
+        # the base is a private, read-only copy of the row
+        assert base.limbs is not limbs and not base.limbs.flags.writeable
+        assert np.array_equal(base.limbs, limbs)
+    return out
 
 
 def oracle_row(v: int, kmax: int) -> tuple[int, list[int]]:
@@ -205,12 +218,11 @@ def doubling_runs(segments, data) -> tuple[list[tuple], list[tuple[int, int]]]:
 
 @pytest.mark.parametrize("x0", [3 * 2**40, 5**30, 7 * 10**12, 3**50 * 10**3, 2**50, 0])
 def test_split_verdicts_equal_per_row(x0):
-    # chains x0 * 2**j of non-powers (and of 0, and of a power), every
-    # batch length up to 2 * SPLIT_BATCH, cut at every position: rows
-    # c.. come from the chain of y0, so the link into row c is no
-    # doubling, and row c must convert on its own
+    # chains x0 * 2**j of non-powers (and of 0, and of a power), cut at
+    # every position: rows c.. come from the chain of y0, so the link
+    # into row c is no doubling, and row c must convert on its own
     y0 = 3 * x0 if x0 else 1
-    length = 2 * SPLIT_BATCH
+    length = 32
     chain_x = [split_row(x0 << j) for j in range(length)]
     chain_y = [split_row(y0 << j) for j in range(length)]
     expect_x = [one_row(row) for row in chain_x]
@@ -218,82 +230,57 @@ def test_split_verdicts_equal_per_row(x0):
     for v, (kmax, failed) in zip([x0 << j for j in range(length)], expect_x):
         if v:  # the per-row route against low parts formed directly
             assert failed == [k for k in range(1, kmax + 1) if verify_split(v, k).ok is False]
-    for rows in range(1, length + 1):
-        assert split_verdicts(chain_x[:rows])[0] == expect_x[:rows]
-        for cut in range(1, rows):
-            mixed = chain_x[:cut] + chain_y[cut:rows]
-            assert split_verdicts(mixed)[0] == expect_x[:cut] + expect_y[cut:rows], (rows, cut)
+    assert chain(chain_x) == expect_x
+    for cut in range(1, length):
+        assert chain(chain_x[:cut] + chain_y[cut:]) == expect_x[:cut] + expect_y[cut:], cut
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.lists(st.tuples(st.one_of(st.just(0), split_values), st.integers(1, SPLIT_BATCH)),
+@given(st.lists(st.tuples(st.one_of(st.just(0), split_values), st.integers(1, 16)),
                 min_size=1, max_size=4),
        st.data())
 def test_split_verdicts_equal_per_row_on_any_rows(segments, data):
     # doubling runs from arbitrary starts, zeros and non-powers among
-    # them, decided in one batch against the low parts formed directly
+    # them, decided one after the other against the low parts formed
+    # directly: a run may start anywhere, so the base before it does
+    # not double into it
     rows, values = doubling_runs(segments, data)
-    assert split_verdicts(rows)[0] == [oracle_row(v, kmax) for v, kmax in values]
+    assert chain(rows) == [oracle_row(v, kmax) for v, kmax in values]
 
 
 def test_split_verdicts_zero_rows_and_empty():
-    assert split_verdicts([]) == ([], None)
     zero = split_row(0)
-    assert split_verdicts([zero, zero])[0] == [(3, [1, 2, 3])] * 2
+    assert zero[0].size == 0  # zero has no limbs
+    assert chain([zero, zero]) == [(3, [1, 2, 3])] * 2
     # 2 * 5 * 10**20 is no zero: the link into the zero row fails
-    assert split_verdicts([split_row(5 * 10**20), zero])[0] == [
+    assert chain([split_row(5 * 10**20), zero]) == [
         one_row(split_row(5 * 10**20)), (3, [1, 2, 3])
     ]
-
-
-def carry_base(rows: list, cuts: list[int]) -> list[tuple[int, list[int]]]:
-    """rows decided in batches rows[a:b] between the cuts, each batch
-    passed the base the one before returned."""
-    out, base = [], None
-    for a, b in zip([0, *cuts], [*cuts, len(rows)]):
-        verdicts, base = split_verdicts(rows[a:b], base)
-        out += verdicts
-        # the base is a private, read-only copy of the batch's last row
-        held = rows[b - 1][0]
-        assert base.limbs is not held and not base.limbs.flags.writeable
-        assert np.array_equal(base.limbs, held)
-    return out
-
-
-@settings(deadline=None, max_examples=60)
-@given(st.lists(st.tuples(st.one_of(st.just(0), split_values), st.integers(1, SPLIT_BATCH)),
-                min_size=1, max_size=4),
-       st.data())
-def test_split_verdicts_carry_the_base_across_batches(segments, data):
-    # the same rows cut into batches anywhere: a batch may start a new
-    # run, so its base does not double into it
-    rows, values = doubling_runs(segments, data)
-    cuts = sorted(data.draw(st.sets(st.integers(1, len(rows) - 1))) if len(rows) > 1 else [])
-    assert carry_base(rows, cuts) == [oracle_row(v, kmax) for v, kmax in values]
+    # no split position to check
+    assert chain([split_row(0, 0), split_row(1024, 0)]) == [(0, []), (0, [])]
 
 
 def test_split_verdicts_convert_once_per_unbroken_chain(monkeypatch):
-    # rows 2**1..2**300 with a sweep's kmax, in batches of 1 and 16: the
-    # first batch converts, and every later one follows from its base
+    # rows 2**1..2**300 with a sweep's kmax: the first row converts,
+    # and every later one follows from the row before
     conversions = []
     real = digitpow.checks.mod_pow2
     monkeypatch.setattr(digitpow.checks, "mod_pow2",
                         lambda x, bits: conversions.append(bits) or real(x, bits))
     rows = [split_row(2**n, min(n, len(str(2**n)) - 1)) for n in range(1, 301)]
-    expect = [(kmax, []) for _, kmax in rows]
-    assert carry_base(rows, list(range(1, 300, SPLIT_BATCH))) == expect
+    assert chain(rows) == [(kmax, []) for _, kmax in rows]
     assert conversions == [0]
-    # a base that knows too few bits for the next batch's kmax: that
-    # batch converts on its own
+    # a base that knows too few bits for the next row's kmax: that row
+    # converts on its own
     conversions.clear()
     rows = [split_row(3 * 2**40, 0), split_row(3 * 2**41, 12)]
-    assert carry_base(rows, [1]) == [(0, []), one_row(rows[1])] == [(0, []), (12, [])]
+    assert chain(rows) == [(0, []), one_row(rows[1])] == [(0, []), (12, [])]
     assert conversions == [0, 12, 12]  # one_row converts too
     # a base with an exact v2 (3) that does not double into the next
-    # batch, whose v2 is 10: that batch converts on its own
+    # row, whose v2 is 10: that row converts on its own
     conversions.clear()
     rows = [split_row(8 * (10**20 + 1)), split_row(2**10 * (10**20 + 1))]
-    assert carry_base(rows, [1]) == [(20, list(range(4, 21))), (23, list(range(11, 24)))]
+    assert chain(rows) == [(20, list(range(4, 21))), (23, list(range(11, 24)))]
     assert len(conversions) == 2
 
 

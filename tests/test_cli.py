@@ -338,18 +338,14 @@ def fail_lines(err: str) -> list[str]:
 
 
 # rows of verify --max-n 130 whose step carries out of limb 0 and not
-# out of the top limb: 114 opens the batch 114..129, 101 sits inside
-# 98..113, and 97 closes 82..97
+# out of the top limb: 114 opens the write batch 114..129, 101 sits
+# inside 98..113, and 97 closes 82..97
 DROPPED_CARRY_ROWS = [114, 101, 97]
 
 
-@pytest.mark.parametrize("n", DROPPED_CARRY_ROWS)
-def test_verify_catches_a_dropped_carry(tmp_path, capsys, monkeypatch, n):
-    # the step to 2**n drops its lowest carry, out of limb 0, so the
-    # value loses 10**9.  The link into row n fails its certificate,
-    # from the row before it or from the base of the batch before; the
-    # rows below keep their own verdicts, and every row from n on is
-    # decided from its value
+def drop_carry_at(monkeypatch, n: int) -> None:
+    """The step to 2**n drops its lowest carry, out of limb 0, so the
+    value loses 10**9."""
     real = digitpow.power.double_in_place
     steps = []
 
@@ -366,37 +362,51 @@ def test_verify_catches_a_dropped_carry(tmp_path, capsys, monkeypatch, n):
         return x
 
     monkeypatch.setattr(digitpow.power, "double_in_place", mutant)
+
+
+@pytest.mark.parametrize("n", DROPPED_CARRY_ROWS)
+def test_verify_catches_a_dropped_carry(tmp_path, capsys, monkeypatch, n):
+    # the link into row n fails its certificate; the rows below keep
+    # their own verdicts, and every row from n on is decided from its
+    # value
+    drop_carry_at(monkeypatch, n)
     argv = ["verify", "--max-n", "130", "--jobs", "1", "--out", str(tmp_path / "rows.csv")]
     assert main(argv) == 1
     lines = fail_lines(capsys.readouterr().err)
-    assert lines[0] == f"FAIL n={n}: split bound failed at k=[10, 11, 12, 13, 14, 15, 16, 17, 18, 19]"
-    assert lines[1].startswith(f"FAIL n={n}: failed lemma2_ok,")
+    assert lines[0].startswith(f"FAIL n={n}: failed lemma2_ok,")
+    assert lines[0].endswith("; split bound failed at k=[10, 11, 12, 13, 14, 15, 16, 17, 18, 19]")
 
 
-def test_verify_catches_a_held_row_changed_before_its_batch_closes(tmp_path, capsys, monkeypatch):
-    # row 100's limbs gain 2 in place while row 101 is being checked,
-    # before the batch 98..113 closes.  Row 100's other checks read the
-    # value before the change; its split verdict must read it after
+def test_a_sweep_logs_at_most_max_logged_failures(tmp_path, capsys, monkeypatch):
+    # a carry dropped at n = 1000 fails every row after it, each at
+    # hundreds of split positions; each row's split failures ride its
+    # one failure line, and the sweep logs only the first lines
+    drop_carry_at(monkeypatch, 1000)
+    argv = ["verify", "--max-n", "20000", "--jobs", "1", "--out", str(tmp_path / "rows.csv")]
+    assert main(argv) == 1
+    lines = fail_lines(capsys.readouterr().err)
+    assert len(lines) == dp.sweep.MAX_LOGGED_FAILURES
+    assert lines[0].startswith("FAIL n=1000: failed lemma2_ok,")
+    assert "; split bound failed at k=[" in lines[-1]
+
+
+def test_verify_ignores_a_row_changed_after_the_next_step(tmp_path, capsys, monkeypatch):
+    # row 100's limbs gain 2 in place while row 101 is being checked.
+    # Row 100 was decided as it stepped, and row 101 was doubled from it
+    # before the change, so no verdict changes
     real = digitpow.sweep.check_positions
     held = []
 
     def spy(limbs, table):
         held.append(limbs)  # one call per row: held[n - 1] is row n's
         if len(held) == 101:
-            row100 = held[99]
-            assert not row100.flags.writeable
-            row100.flags.writeable = True
-            row100[0] += 2  # 2**100 + 2: v2 is 1
+            held[99][0] += 2  # 2**100 + 2
         return real(limbs, table)
 
     monkeypatch.setattr(digitpow.sweep, "check_positions", spy)
     argv = ["verify", "--max-n", "130", "--jobs", "1", "--out", str(tmp_path / "rows.csv")]
-    assert main(argv) == 1
-    lines = fail_lines(capsys.readouterr().err)
-    assert lines == [
-        "FAIL n=100: split bound failed at k=[2, 3, 4, 5, 6, 7, 8, 9, 10, 11]",
-        "FAIL n=100: failed lemma2_ok",
-    ]
+    assert main(argv) == 0
+    assert fail_lines(capsys.readouterr().err) == []
 
 
 def count_conversions(tmp_path, monkeypatch):
@@ -417,8 +427,8 @@ def count_conversions(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("jobs", [1, 3])
 def test_verify_converts_once_per_band(tmp_path, capsys, monkeypatch, jobs):
-    # each band's first row converts alone; every later batch follows
-    # from the last row of the batch before
+    # each band's first row converts; every later row follows from the
+    # row before
     conversions = count_conversions(tmp_path, monkeypatch)
     argv = ["verify", "--max-n", "3000", "--jobs", str(jobs), "--out", str(tmp_path / "rows.csv")]
     assert main(argv) == 0
@@ -428,35 +438,35 @@ def test_verify_converts_once_per_band(tmp_path, capsys, monkeypatch, jobs):
 @pytest.mark.parametrize("n", DROPPED_CARRY_ROWS)
 def test_a_dropped_carry_costs_one_more_conversion(tmp_path, capsys, monkeypatch, n):
     # the link into row n fails, so row n converts on its own; the rows
-    # after it follow from it, in its batch and across the batch ends
+    # after it follow from it
     conversions = count_conversions(tmp_path, monkeypatch)
     test_verify_catches_a_dropped_carry(tmp_path, capsys, monkeypatch, n)
     assert conversions() == 2
 
 
-def test_verify_catches_a_batch_end_changed_after_its_batch_closes(tmp_path, capsys, monkeypatch):
-    # row 113 closes the batch 98..113 and then gains 2 in place, before
-    # the step to 114 doubles it.  Row 113 was decided from a copy taken
-    # as its batch closed, and the next batch's base is that copy, so the
-    # link into row 114 = 2**114 + 4 fails, row 114 converts on its own
-    # and the rows after it follow from it
+@pytest.mark.parametrize("n", [98, 101, 113])
+def test_verify_catches_a_row_changed_after_its_step(tmp_path, capsys, monkeypatch, n):
+    # row n gains 2 in place after its split verdict, before the step to
+    # n + 1 doubles it; n opens, sits inside and closes the write batch
+    # 98..113.  Row n was decided from a copy of its limbs, and that copy
+    # is the base row n + 1 links to, so the link into row n + 1 =
+    # 2**(n+1) + 4 fails, row n + 1 converts on its own and the rows
+    # after it follow from it
     conversions = count_conversions(tmp_path, monkeypatch)
-    real = digitpow.sweep.split_verdicts
+    real = digitpow.sweep.split_verdict
 
-    def verdicts(rows, base):
-        out = real(rows, base)
-        held = rows[-1][0]
-        if dp.to_decimal_string(dp.DecimalNat(held)) == str(2**113):
-            held.flags.writeable = True
-            held[0] += 2
+    def verdict(limbs, kmax, base):
+        out = real(limbs, kmax, base)
+        if dp.to_decimal_string(dp.DecimalNat(limbs)) == str(2**n):
+            limbs[0] += 2
         return out
 
-    monkeypatch.setattr(digitpow.sweep, "split_verdicts", verdicts)
+    monkeypatch.setattr(digitpow.sweep, "split_verdict", verdict)
     argv = ["verify", "--max-n", "130", "--jobs", "1", "--out", str(tmp_path / "rows.csv")]
     assert main(argv) == 1
     lines = fail_lines(capsys.readouterr().err)
-    assert lines[0] == "FAIL n=114: split bound failed at k=[3, 4, 5, 6, 7, 8, 9, 10, 11, 12]"
-    assert lines[1].startswith("FAIL n=114: failed lemma2_ok,")
+    assert lines[0].startswith(f"FAIL n={n + 1}: failed lemma2_ok,")
+    assert lines[0].endswith("; split bound failed at k=[3, 4, 5, 6, 7, 8, 9, 10, 11, 12]")
     assert conversions() == 2
 
 

@@ -83,8 +83,9 @@ def test_stats_sharded_bytes_equal_one_process(tmp_path, multiplier, window, fmt
 
 def test_sharded_tampered_start_reports_as_one_process(monkeypatch):
     # 10 * 2**10 at n = 10: every later row has one digit too many and a
-    # zero low digit, so it fails four checks and logs its split failure;
-    # the 20 failure lines end at n = 30, past the first shard
+    # zero low digit, so it fails four checks, its split bound among them;
+    # the 20 failure lines, each with its split positions, end at n = 30,
+    # past the first shard
     reports = []
     for jobs in JOBS:
         monkeypatch.setattr(
@@ -101,22 +102,20 @@ def test_sharded_tampered_start_reports_as_one_process(monkeypatch):
     assert reports[0][1] == [
         ("lemma2_ok", 26), ("fourpow_ok", 26), ("ekbound_ok", 26), ("digitcount_ok", 26)
     ]
-    assert sum("split bound failed" in line for line in reports[0][3]) == 26
+    assert sum("; split bound failed at k=" in line for line in reports[0][3]) == 20
     assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 def fail_at(monkeypatch, bad_n: int) -> None:
-    # a batch of split rows is decided when its last row is in; the one
-    # that holds 2**bad_n raises
-    real = digitpow.sweep.split_verdicts
+    # the split verdict of the row that holds 2**bad_n raises
+    real = digitpow.sweep.split_verdict
 
-    def verdicts(rows, base):
-        if any(dp.to_decimal_string(dp.DecimalNat(limbs)) == str(2**bad_n)
-               for limbs, _ in rows):
+    def verdict(limbs, kmax, base):
+        if dp.to_decimal_string(dp.DecimalNat(limbs)) == str(2**bad_n):
             raise dp.CheckpointError(f"injected at n={bad_n}")
-        return real(rows, base)
+        return real(limbs, kmax, base)
 
-    monkeypatch.setattr(digitpow.sweep, "split_verdicts", verdicts)
+    monkeypatch.setattr(digitpow.sweep, "split_verdict", verdict)
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
