@@ -5,6 +5,17 @@ power sweep keeps asking (digit sum, digit count, trailing zeros) are
 limb-local, while the hot path of the sweep, repeated doubling,
 vectorizes over the limb array with numpy.
 
+Every limb array is int32 (_LIMB_DTYPE): a limb is below 10**9 < 2**30,
+so twice a limb, and 2 * old - new for two limbs, fit int32, and each
+per-row pass moves half the bytes of int64.  The per-row kernels keep
+their carries in that dtype too, since a ufunc that mixes bool and int
+operands costs about twice the same-dtype one.  Only where a product
+can pass 2**31 is it formed in int64: mul_small's limb * c, the limb
+pairs of the radix conversion, and the weighted digit sum of parsing.
+Tables are gathered through an intp copy of their int32 index, since
+numpy's fancy indexing with an int32 index is several times slower than
+the cast plus the gather.
+
 Canonical form: the top limb of a nonzero value is nonzero, and zero is
 the empty limb sequence.  Every constructor produces canonical values.
 """
@@ -19,8 +30,10 @@ import numpy as np
 LIMB_BASE = 10**9
 LIMB_DIGITS = 9
 
-_LIMB_DTYPE = np.int64
+_LIMB_DTYPE = np.int32
 _EMPTY = np.empty(0, dtype=_LIMB_DTYPE)
+# what a sweep's summary names as the backend it ran on
+BACKEND = f"numpy {np.__version__}, {np.dtype(_LIMB_DTYPE).name} limbs"
 # the digits of each 3-digit chunk c = 0..999, lowest first, and which
 # of them are nonzero as a 3-bit mask
 _CHUNK_DIGITS = np.arange(1000, dtype=np.int32)[:, None] // np.array([1, 10, 100]) % 10
@@ -48,7 +61,7 @@ _CHUNK_POSITIONS = tuple(
     ]
 )
 # 10**1..10**8; a nonzero limb has as many digits as entries <= it, plus one
-_POW10 = 10 ** np.arange(1, LIMB_DIGITS, dtype=np.int64)
+_POW10 = 10 ** np.arange(1, LIMB_DIGITS, dtype=_LIMB_DTYPE)
 # big-endian place values of one limb, for string parsing
 _PARSE_WEIGHTS = 10 ** np.arange(LIMB_DIGITS - 1, -1, -1, dtype=np.int64)
 
@@ -109,7 +122,7 @@ def from_decimal_string(s: str) -> DecimalNat:
         raise ValueError(f"not a decimal string: {s!r}") from None
     if not raw:
         raise ValueError("empty string is not a number")
-    d = np.frombuffer(raw, dtype=np.uint8).astype(_LIMB_DTYPE) - 48
+    d = np.frombuffer(raw, dtype=np.uint8).astype(np.int64) - 48
     if ((d < 0) | (d > 9)).any():
         raise ValueError(f"not a decimal string: {s!r}")
     if d.size > 1 and d[0] == 0:
@@ -118,9 +131,10 @@ def from_decimal_string(s: str) -> DecimalNat:
         return zero()
     pad = (-d.size) % LIMB_DIGITS
     if pad:
-        d = np.concatenate([np.zeros(pad, dtype=_LIMB_DTYPE), d])
+        d = np.concatenate([np.zeros(pad, dtype=np.int64), d])
+    # the weighted sum, summed in int64, is a limb below 10**9
     limbs = (d.reshape(-1, LIMB_DIGITS) * _PARSE_WEIGHTS).sum(axis=1)[::-1]
-    return DecimalNat(np.ascontiguousarray(limbs))
+    return DecimalNat(limbs.astype(_LIMB_DTYPE))
 
 
 def _trim(arr: np.ndarray) -> np.ndarray:
@@ -160,13 +174,13 @@ def digit_tally(x: DecimalNat) -> tuple[int, int]:
     l = x.limbs
     if l.size > _TALLY_MAX_LIMBS:
         raise ValueError(f"{l.size} limbs overflow the packed digit tally")
-    # divide and subtract: int64 % costs about three times int64 //
+    # divide and subtract: integer % costs about three times //
     hi = l // 100000
     low = hi * 100000
     np.subtract(l, low, out=low)
     t = _CHUNK5_TALLY
-    packed = t[low]
-    packed += t[hi]
+    packed = t[low.astype(np.intp)]
+    packed += t[hi.astype(np.intp)]
     acc = int(packed.sum())
     return acc >> 24, acc & 0xFFFFFF
 
@@ -221,13 +235,15 @@ def double_in_place(x: DecimalNat) -> DecimalNat:
     l = x.limbs
     if l.size == 0:
         return x
-    t = l + l
-    carry = t >= LIMB_BASE
+    t = l + l  # below 2 * 10**9 < 2**31
+    carry = t // LIMB_BASE  # 0 or 1, in the limbs' dtype
+    top = carry[-1]
     # carries never cascade: 2*limb - BASE + 1 <= 999999999 < BASE
-    t -= carry.astype(_LIMB_DTYPE) * LIMB_BASE
     t[1:] += carry[:-1]
-    if carry[-1]:
-        t = np.append(t, np.int64(1))
+    carry *= LIMB_BASE
+    t -= carry
+    if top:
+        t = np.append(t, _LIMB_DTYPE(1))
     x.limbs = t
     return x
 
@@ -240,17 +256,17 @@ def mul_small(x: DecimalNat, c: int) -> DecimalNat:
         return zero()
     if c == 1:
         return x.copy()
-    p = x.limbs * c  # limb * c < 10**18, fits int64
+    p = x.limbs.astype(np.int64) * c  # limb * c < 10**18, fits int64
     carry = p // LIMB_BASE
-    p = p - carry * LIMB_BASE
+    p -= carry * LIMB_BASE
     while carry.any():
         if carry[-1]:
             p = np.append(p, np.int64(0))
             carry = np.append(carry, np.int64(0))
         p[1:] += carry[:-1]
-        carry = (p >= LIMB_BASE).astype(_LIMB_DTYPE)
+        carry = p // LIMB_BASE
         p -= carry * LIMB_BASE
-    return DecimalNat(np.ascontiguousarray(_trim(p)))
+    return DecimalNat(_trim(p).astype(_LIMB_DTYPE))
 
 
 def div_small(x: DecimalNat, d: int) -> tuple[DecimalNat, int]:
@@ -296,32 +312,50 @@ def trailing_zero_digits(x: DecimalNat) -> int:
 
 
 def is_doubled(old: np.ndarray, new: np.ndarray) -> bool:
-    """Whether the limbs `new` hold twice the value of the limbs `old`.
+    """Whether the int32 limbs `new` hold twice the value of the limbs `old`.
 
     A certificate, not a recomputation: with t_i = 2 * old_i - new_i
     (both padded with zero limbs to a common length M) and candidate
-    carries c_0 = 0, c_{i+1} = [t_i >= LIMB_BASE - 1], it requires
+    carries c_0 = 0, c_{i+1} = (t_i + 1) // LIMB_BASE, it requires
     c_M = 0 and t_i + c_i == LIMB_BASE * c_{i+1} for every i.  The sum
     of (t_i + c_i - LIMB_BASE * c_{i+1}) * LIMB_BASE**i telescopes to
     2 * value(old) - value(new) + c_0 - c_M * LIMB_BASE**M, so the
     equations prove the identity for any integers c_i, whatever carries
-    double_in_place computed.  Conversely, when every limb lies in
-    0..LIMB_BASE-1 and the identity holds, the true carries are 0 or 1
-    and t_i is -c_i or LIMB_BASE - c_i, so the candidates are the true
-    carries and the certificate holds.  Limbs may be non-canonical as
-    long as they stay within +-2**61, so that t does not overflow int64.
-    Comparisons only, no division.
+    double_in_place computed.
+
+    int32 arithmetic wraps silently, so before any arithmetic the
+    certificate refuses a limb outside 0..LIMB_BASE-1, in old or in new.
+    Then every number it forms is an exact integer: 2 * old_i < 2**31,
+    -LIMB_BASE < t_i < 2 * LIMB_BASE - 1, c_{i+1} is -1, 0 or 1,
+    t_i + c_i lies in -LIMB_BASE..2 * LIMB_BASE - 1 and
+    t_i + c_i - LIMB_BASE * c_{i+1} in -2..LIMB_BASE - 1, all inside
+    int32.  So the equations hold over the integers, and the proof
+    stands.
+
+    Conversely, when every limb lies in 0..LIMB_BASE-1 and the identity
+    holds, the true carries are 0 or 1 and t_i is -c_i or
+    LIMB_BASE - c_i, so (t_i + 1) // LIMB_BASE is the true carry and the
+    certificate holds.
     """
+    if old.dtype != _LIMB_DTYPE or new.dtype != _LIMB_DTYPE:
+        raise TypeError(f"limbs must be {np.dtype(_LIMB_DTYPE)}, got {old.dtype} and {new.dtype}")
+    # a negative int32 limb reads as 2**31 or more in uint32: one pass
+    # each refuses both ends of the range
+    for limbs in (old, new):
+        if limbs.size and limbs.view(np.uint32).max() >= LIMB_BASE:
+            return False
     size = max(old.size, new.size)
     t = np.zeros(size, dtype=_LIMB_DTYPE)
     np.add(old, old, out=t[: old.size])
     t[: new.size] -= new
-    carry = t >= LIMB_BASE - 1  # c_{i+1}
+    carry = t + 1
+    carry //= LIMB_BASE  # c_{i+1}
     if size and carry[-1]:
         return False
     t[1:] += carry[:-1]
-    t -= carry * LIMB_BASE
-    return not t.any()
+    carry *= LIMB_BASE
+    t -= carry
+    return not np.count_nonzero(t)
 
 
 # limbs per leaf of the radix conversion below
@@ -332,10 +366,10 @@ _LEAF_DIGITS = LIMB_DIGITS * _LEAF_LIMBS
 def _leaf_values(limbs: np.ndarray) -> list[int]:
     """Values of consecutive 64-limb blocks, lowest block first."""
     m = -(-limbs.size // _LEAF_LIMBS)
-    a = np.zeros(m * _LEAF_LIMBS, dtype=_LIMB_DTYPE)
+    a = np.zeros(m * _LEAF_LIMBS, dtype=np.int64)
     a[: limbs.size] = limbs
     a = a.reshape(m, _LEAF_LIMBS)
-    # a limb pair is below 10**18 and still fits int64; wider blocks
+    # a limb pair is below 10**18, formed in int64; wider blocks
     # combine as Python ints, one column pass per doubling
     v = (a[:, 0::2] + a[:, 1::2] * LIMB_BASE).astype(object)
     b = LIMB_BASE * LIMB_BASE

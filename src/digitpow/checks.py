@@ -65,10 +65,10 @@ before it, and converts only where the row cannot follow that row.
 The state carried from row to row is a SplitBase: the row's limbs and
 what is proven of v2 of their value, exactly v2 when v2 < bits, only
 v2 >= bits otherwise.  When bignum.is_doubled certifies, from the limbs
-alone, that a row holds twice the base's value (a proof for any limbs,
-see its docstring), the row's v2 is one more, exact or at least bits +
-1, and that decides every k <= kmax when it is exact or bits + 1 >=
-kmax.  Any other row, the first with no base, converts on its own: r =
+alone, that a row holds twice the base's value (a proof for any int32
+limbs, see its docstring), the row's v2 is one more, exact or at least
+bits + 1, and that decides every k <= kmax when it is exact or bits +
+1 >= kmax.  Any other row, the first with no base, converts on its own: r =
 x mod 2**kmax, and v2 = v2(r) exactly when r != 0, else v2 >= kmax.  A
 zero row converts to 0 and takes kmax as its trailing zeros, so it
 fails at every position; only zero is certified to double into zero,

@@ -78,7 +78,7 @@ from typing import IO, Callable
 
 import numpy as np
 
-from .bignum import DecimalNat, digit_count, digit_sum, digit_tally
+from .bignum import BACKEND, DecimalNat, digit_count, digit_sum, digit_tally
 from .checks import PositionTable, check_positions, split_verdict
 from .intlog import digit_count_range, digit_sum_exceeds_log4, floor_log2_pow10
 from .power import PowerState, load_checkpoint, save_checkpoint
@@ -166,7 +166,7 @@ class SweepSummary:
             f"rows {self.rows} (n={self.first_n}..{self.last_n}, "
             f"multiplier={self.multiplier}) {state} "
             f"in {self.elapsed:.1f}s ({rate:.0f} rows/s, {self.jobs} "
-            f"{'job' if self.jobs == 1 else 'jobs'})"
+            f"{'job' if self.jobs == 1 else 'jobs'}), {BACKEND}"
         )
 
 

@@ -68,10 +68,10 @@ def swap_adjacent_digits(value: str) -> str:
 
 
 def is_canonical(x) -> bool:
-    """Representation invariant of a DecimalNat x: int64 limbs, each in
+    """Representation invariant of a DecimalNat x: int32 limbs, each in
     0..10**9-1, and a nonzero top limb (zero is the empty array)."""
     limbs = x.limbs
-    if limbs.dtype != np.int64:
+    if limbs.dtype != np.int32:
         return False
     if limbs.size == 0:
         return True

@@ -154,9 +154,9 @@ def test_digit_tally_limb_cap(monkeypatch):
     assert t.dtype == np.int32 and t.size == 10**5
     assert int(t.max()) == 5 | 45 << 24 and 2 * int(t.max()) < 2**31
     # a full-width value at the cap: every limb 999999999
-    full = dp.DecimalNat(np.full(cap, 10**9 - 1, dtype=np.int64))
+    full = dp.DecimalNat(np.full(cap, 10**9 - 1, dtype=np.int32))
     assert dp.digit_tally(full) == (81 * cap, 9 * cap)
-    over = dp.DecimalNat(np.full(cap + 1, 10**9 - 1, dtype=np.int64))
+    over = dp.DecimalNat(np.full(cap + 1, 10**9 - 1, dtype=np.int32))
     with pytest.raises(ValueError, match="overflow"):
         dp.digit_tally(over)
     x = dp.from_small(999_999_999 * (10**9 + 1))
@@ -173,7 +173,7 @@ chunk_limbs = st.sampled_from([0, 1, 9, 99999, 100000, 100001, 10**9 - 1, 999900
 
 @given(st.lists(chunk_limbs, min_size=1, max_size=12), st.integers(1, 10**9 - 1))
 def test_digit_tally_chunk_boundaries(low, top):
-    x = dp.DecimalNat(np.array([*low, top], dtype=np.int64))
+    x = dp.DecimalNat(np.array([*low, top], dtype=np.int32))
     digits = str(to_int(x))
     assert dp.digit_tally(x) == (sum(map(int, digits)), len(digits) - digits.count("0"))
 
@@ -278,35 +278,64 @@ def test_is_doubled_iff_value_doubles(old, pad_old, pad_new, edit):
         i, v = edit
         new += [0] * (i + 1 - len(new))
         new[i] = v
-    o, w = np.array(old, dtype=np.int64), np.array(new, dtype=np.int64)
+    o, w = np.array(old, dtype=np.int32), np.array(new, dtype=np.int32)
     assert is_doubled(o, w) == (limbs_value(new) == 2 * limbs_value(old))
 
 
-@given(st.lists(st.integers(-(2**40), 2**40), max_size=8),
-       st.lists(st.integers(-(2**40), 2**40), max_size=8),
-       st.one_of(st.none(), st.integers(0, 7)))
-def test_is_doubled_is_sound_on_any_limbs(old, new, recarry):
-    # non-canonical limbs: the certificate proves the identity whatever
-    # it is handed, even when it passes a pair it need not pass
-    if recarry is not None:  # the double with value moved between limbs
+def wrap32(v: int) -> int:
+    """v as int32 arithmetic leaves it: reduced mod 2**32 into -2**31..2**31-1."""
+    return (v + 2**31) % 2**32 - 2**31
+
+
+# any int32 limb, weighted towards the values whose doubles or
+# differences wrap: near -2**31, 2**30 and 2**31 - 1
+int32_limbs = st.one_of(
+    st.integers(-(2**31), 2**31 - 1),
+    st.integers(-(2**31), -(2**31) + 2**20),
+    st.integers(2**30 - 2**20, 2**30 + 2**20),
+    st.integers(2**31 - 2**20, 2**31 - 1),
+    st.sampled_from([-(2**31), -(10**9), -1, 10**9, 2**30 + 1, 2**31 - 1]),
+    limb_values,
+)
+
+
+@given(st.lists(int32_limbs, max_size=8), st.lists(int32_limbs, max_size=8),
+       st.lists(st.integers(0, 1), max_size=8), st.sampled_from(["any", "wrapped", "recarry"]))
+def test_is_doubled_is_sound_on_any_limbs(old, new, carries, how):
+    # int32 limbs anywhere in range: the certificate never certifies a
+    # pair whose values are not doubles, even when it passes a pair it
+    # need not pass
+    if how == "wrapped":
+        # the double of old limb by limb, 2 * old_i + c_i - 10**9 * c_{i+1},
+        # wrapped into int32: 2 * old - new wraps to the honest carry
+        # pattern, so only the range guard stands between it and a
+        # certificate of a false identity
+        c = [0, *carries[: len(old)]]
+        c += [0] * (len(old) + 1 - len(c))  # c_0..c_L
+        new = [wrap32(2 * v + c[i] - 10**9 * c[i + 1]) for i, v in enumerate(old)]
+        new += [c[len(old)]] if c[len(old)] else []
+    elif how == "recarry":  # the double with value moved between limbs
         new = bignum.from_small(2 * abs(limbs_value(old))).limbs.tolist() + [0, 0]
-        i = recarry % (len(new) - 1)
+        i = len(carries) % (len(new) - 1)
         new[i] += 10**9
         new[i + 1] -= 1
-    o, w = np.array(old, dtype=np.int64), np.array(new, dtype=np.int64)
+    o, w = np.array(old, dtype=np.int32), np.array(new, dtype=np.int32)
     if is_doubled(o, w):
         assert limbs_value(new) == 2 * limbs_value(old)
 
 
 def test_is_doubled_examples():
-    a = lambda *limbs: np.array(limbs, dtype=np.int64)
+    a = lambda *limbs: np.array(limbs, dtype=np.int32)
     assert is_doubled(a(), a())
     assert is_doubled(a(5), a(10))
     assert is_doubled(a(999_999_999), a(999_999_998, 1))  # length L + 1
-    assert is_doubled(a(500_000_000), a(10**9))  # a non-canonical limb
+    assert not is_doubled(a(500_000_000), a(10**9))  # a non-canonical limb is refused
+    assert not is_doubled(a(2**31 - 1), a(-2))  # 2 * old - new wraps to 0 in int32
     assert not is_doubled(a(999_999_999), a(999_999_998))  # the top carry dropped
     assert not is_doubled(a(600_000_000, 7), a(200_000_000, 14))  # a carry dropped
     assert not is_doubled(a(1), a())
+    with pytest.raises(TypeError):
+        is_doubled(a(5).astype(np.int64), a(10))
     x = make(3**4000)
     y = x.copy()
     dp.double_in_place(y)

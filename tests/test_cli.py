@@ -4,6 +4,7 @@ import json
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import digitpow as dp
@@ -377,6 +378,42 @@ def test_verify_catches_a_dropped_carry(tmp_path, capsys, monkeypatch, n):
     assert lines[0].endswith("; split bound failed at k=[10, 11, 12, 13, 14, 15, 16, 17, 18, 19]")
 
 
+# row 1500 has 51 limbs, and its position checks read limbs 0..9 only
+@pytest.mark.parametrize("limb", [20, 45])
+@pytest.mark.parametrize("when", ["checked", "stepped"])
+def test_verify_catches_a_limb_that_doubles_past_int32(tmp_path, capsys, monkeypatch, limb, when):
+    # one limb of row n is set to 2**30 + 1, outside the limb range,
+    # before row n is checked or after, before the step to n + 1.  Its
+    # double, 2**31 + 2, does not fit int32.  The sweep fails at the
+    # first row that holds or doubles the bad limb, never passes it
+    n = 1500
+    if when == "checked":
+        real = digitpow.sweep._RowChecks.__call__
+
+        def corrupt(self, m, value):
+            if m == n:
+                value.limbs[limb] = 2**30 + 1
+            return real(self, m, value)
+
+        monkeypatch.setattr(digitpow.sweep._RowChecks, "__call__", corrupt)
+    else:
+        real = digitpow.power.double_in_place
+        steps = []
+
+        def corrupt(x):
+            steps.append(None)
+            if len(steps) == n + 1:
+                x.limbs[limb] = 2**30 + 1
+            return real(x)
+
+        monkeypatch.setattr(digitpow.power, "double_in_place", corrupt)
+    argv = ["verify", "--max-n", str(n + 1), "--jobs", "1", "--out", str(tmp_path / "rows.csv")]
+    assert main(argv) == 1
+    lines = fail_lines(capsys.readouterr().err)
+    first = n if when == "checked" else n + 1
+    assert lines[0].startswith(f"FAIL n={first}: failed ")
+
+
 def test_a_sweep_logs_at_most_max_logged_failures(tmp_path, capsys, monkeypatch):
     # a carry dropped at n = 1000 fails every row after it, each at
     # hundreds of split positions; each row's split failures ride its
@@ -626,6 +663,27 @@ def test_cli_summary_names_the_emitted_rows(tmp_path, capsys):
     assert main(["stats", "--range", "50:60", "--start-checkpoint", str(ckpt),
                  "--jobs", "1", "--out", out]) == 0
     assert "stats: rows 6 (n=55..60, multiplier=2) ok" in capsys.readouterr().err
+
+
+def test_cli_summary_names_the_backend(tmp_path, capsys):
+    out = str(tmp_path / "rows.csv")
+    assert main(["verify", "--max-n", "20", "--jobs", "1", "--out", out]) == 0
+    line = [l for l in capsys.readouterr().err.splitlines() if l.startswith("verify: rows")]
+    assert len(line) == 1
+    assert line[0].endswith(f" 1 job), numpy {np.__version__}, int32 limbs")
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_cli_stats_multiplier_99(tmp_path, capsys, jobs):
+    # 99**n: mul_small's products reach 99 * limb and each band's walk
+    # multiplies by 99**4 = 96059601, both formed in int64
+    out = tmp_path / "stats.csv"
+    assert main(["stats", "--multiplier", "99", "--range", "1:400", "--window", "7",
+                 "--jobs", str(jobs), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(1, 401))
+    assert [int(r[1]) for r in rows] == [oracle_digit_sum(n, 99) for n in range(1, 401)]
+    assert [int(r[2]) for r in rows] == [len(str(99**n)) for n in range(1, 401)]
 
 
 def test_cli_stats(tmp_path, capsys):
