@@ -1,7 +1,7 @@
 """Unsigned big integers stored as little-endian base-10**9 limbs.
 
 The limb base is a power of ten so that the digit-level questions a
-power sweep keeps asking (digit sum, digit count, trailing zeros) are
+power sweep keeps asking (digit sum, digit count, digit positions) are
 limb-local, while the hot path of the sweep, repeated doubling,
 vectorizes over the limb array with numpy.
 
@@ -195,11 +195,14 @@ def low_digit_positions(limbs: Iterable[tuple[int, int]], count: int) -> list[in
     limbs yields (index, value) of nonzero limbs, ascending, from the
     lowest one on; they are expanded whole, one at a time, until at
     least count positions are in hand or limbs runs out.  Each holds a
-    nonzero digit, so count of them are enough.
+    nonzero digit, so count of them are enough.  Raises ValueError at a
+    limb it expands that lies outside 0..LIMB_BASE-1.
     """
     p0, p3, p6 = _CHUNK_POSITIONS
     out: list[int] = []
     for i, v in limbs:
+        if not 0 <= v < LIMB_BASE:
+            raise ValueError(f"limb {i} is {v}, outside 0..{LIMB_BASE - 1}")
         hi, v = divmod(v, 1000000)
         mid, v = divmod(v, 1000)
         local = p0[v] + p3[mid] + p6[hi]
@@ -293,22 +296,6 @@ def div_small(x: DecimalNat, d: int) -> tuple[DecimalNat, int]:
         out[i] = cur // d
         rem = cur % d
     return DecimalNat(np.ascontiguousarray(_trim(out))), rem
-
-
-def trailing_zero_digits(x: DecimalNat) -> int:
-    """Number of trailing zero decimal digits of a positive value."""
-    l = x.limbs
-    if l.size == 0:
-        raise ValueError("trailing zero digits of zero are undefined")
-    i, low = 0, int(l[0])
-    if not low:  # limb 0 is nonzero for every power of two
-        i = int(np.flatnonzero(l)[0])
-        low = int(l[i])
-    t = 0
-    while low % 10 == 0:
-        low //= 10
-        t += 1
-    return LIMB_DIGITS * i + t
 
 
 def is_doubled(old: np.ndarray, new: np.ndarray) -> bool:

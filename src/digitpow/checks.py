@@ -44,50 +44,18 @@ whenever the table grows.  A row then expands the few limbs it needs
 three digits at a time, from a table of the nonzero positions of every
 3-digit chunk.
 
-The split bound forms no low part A = x mod 10**k of a value x > 0:
-
-* 2**k divides 10**k, so A = x (mod 2**k), and 2**k | A exactly when
-  k <= v2(x);
-* A > 0 exactly when k exceeds the number of trailing zero digits of x;
-* a positive multiple of 2**k is at least 2**k, so A >= 2**k follows
-  from the two above.
-
-So for kmax <= digit_count-1 the failed positions are 1..zeros and
-v2+1..kmax, disjoint because 10**zeros | x makes zeros <= v2.  None of
-this assumes x is a power of two, so they are those the split oracle
-in tests/oracles.py, which forms each A directly, reports.  The
-trailing zeros are read from the row's own limbs; v2 needs a radix
-conversion, x mod 2**K (bignum.mod_pow2), which is almost all of a
-row's split cost.
-
-split_verdict decides one row of a doubling chain from the row
-before it, and converts only where the row cannot follow that row.
-The state carried from row to row is a SplitBase: the row's limbs and
-what is proven of v2 of their value, exactly v2 when v2 < bits, only
-v2 >= bits otherwise.  When bignum.is_doubled certifies, from the limbs
-alone, that a row holds twice the base's value (a proof for any int32
-limbs, see its docstring), the row's v2 is one more, exact or at least
-bits + 1, and that decides every k <= kmax when it is exact or bits +
-1 >= kmax.  Any other row, the first with no base, converts on its own: r =
-x mod 2**kmax, and v2 = v2(r) exactly when r != 0, else v2 >= kmax.  A
-zero row converts to 0 and takes kmax as its trailing zeros, so it
-fails at every position; only zero is certified to double into zero,
-and zero's v2 is never exact, so a row after a zero follows it only
-with bits enough, and fails at every position too.
-
-In a sweep the bits always suffice: kmax = min(n, digit_count - 1)
-grows by at most 1 per step, a converted row knows kmax bits of
-itself, and a certified row one more than the row before.  So an
-unbroken chain converts once, at its first row, and then only a row
-whose link fails converts; the rows after it follow from it.
-
-Each row is decided from a private, read-only copy of its limbs, taken
-before anything is read from them, and that copy is the base the next
-row links to.  So a base always holds the value its v2 was proven of:
-if the row's own array changes after its verdict, the next value is
-doubled from the changed array, the link from the unchanged copy fails
-its certificate, and that row converts on its own rather than linking
-to itself.
+A row that holds 2**n meets the split bound at every k <= min(n,
+digit_count - 1), where the high part is positive: 2**k divides 10**k
+and 2**n, so it divides the low part A = 2**n mod 10**k; 10**k does
+not divide 2**n, so A > 0; and a positive multiple of 2**k is at least
+2**k.  So a sweep of 2**n decides the split bound by proving that each
+row holds 2**n (sweep.py), and forms no A.  Its lemma2_ok rests on two
+facts: the state a band starts its rows from, at n = first row - 1,
+equals 2**n as a Python int (PowerState.is_exact), and each row holds
+twice the row before, certified from the limbs by bignum.is_doubled (a
+proof for any int32 limbs, see its docstring).  A row whose link is
+not certified fails, and so does every later row of its band: none of
+them is proven to hold 2**n.  tests/oracles.py forms each A directly.
 """
 
 from __future__ import annotations
@@ -97,15 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bignum import (
-    LIMB_DIGITS,
-    DecimalNat,
-    digit_span,
-    is_doubled,
-    low_digit_positions,
-    mod_pow2,
-    trailing_zero_digits,
-)
+from .bignum import LIMB_DIGITS, digit_span, low_digit_positions
 
 
 class PositionChecks(NamedTuple):
@@ -148,7 +108,8 @@ def check_positions(limbs: np.ndarray, table: PositionTable) -> PositionChecks:
     table is the PositionTable of a floor table that covers index
     digit_count, which a caller checking many values builds once.  See
     the module docstring for why the digits of a few limbs decide every
-    check.
+    check.  A limb it expands that lies outside 0..10**9-1, which no
+    canonical value holds, fails all three.
     """
     size = limbs.size
     count = np.count_nonzero(limbs)
@@ -165,9 +126,13 @@ def check_positions(limbs: np.ndarray, table: PositionTable) -> PositionChecks:
     if count < size:
         nz = np.flatnonzero(limbs)
         idx = nz[:need]
-        low = low_digit_positions(zip(idx.tolist(), limbs[idx].tolist()), need)
+        pairs = zip(idx.tolist(), limbs[idx].tolist())
     else:  # no zero limb
-        low = low_digit_positions(enumerate(limbs[:need].tolist()), need)
+        pairs = enumerate(limbs[:need].tolist())
+    try:
+        low = low_digit_positions(pairs, need)
+    except ValueError:  # a limb outside the limb range: a corrupt value
+        return PositionChecks(False, False, False)
     # B_k < 4**(k-1), so e_k <= B_k passes both; past the first B_k
     # above last every e_k passes both, so zip may run past it
     bound_ok = fourpow_ok = True
@@ -189,45 +154,3 @@ def check_positions(limbs: np.ndarray, table: PositionTable) -> PositionChecks:
         above, _ = digit_span(limbs, nz[jump + 1])
         gap_ok = bool(np.all(above <= gap[below + 1]))
     return PositionChecks(gap_ok, fourpow_ok, bound_ok)
-
-
-class SplitBase(NamedTuple):
-    """A decided row, which the next row may follow: its limbs, a
-    private read-only copy, and what is proven of v2 of their value,
-    exactly v2 when v2 < bits, else only v2 >= bits."""
-
-    limbs: np.ndarray
-    v2: int
-    bits: int
-
-
-def split_verdict(
-    limbs: np.ndarray, kmax: int, base: SplitBase | None = None
-) -> tuple[list[int], SplitBase]:
-    """Split-bound verdict of one row of a doubling chain.
-
-    limbs are the row's base-10**9 limbs and kmax its highest split
-    position, at most digit_count-1 so that the high part is positive.
-    base is what the call for the row before returned, or None.
-    Returns the failed positions in 1..kmax, decided exactly from the
-    row's own value: the row need not hold a power of two nor follow
-    the base.  Also returns the base for the next row, which holds a
-    copy of limbs taken before anything is read from them.  See the
-    module docstring for why a chain needs only one conversion.
-    """
-    limbs = limbs.copy()
-    limbs.flags.writeable = False
-    if (
-        base is not None
-        and (base.v2 < base.bits or base.bits + 1 >= kmax)
-        and is_doubled(base.limbs, limbs)
-    ):
-        # twice base's value: v2 and the bits known of it move up by 1
-        v2, bits = base.v2 + 1, base.bits + 1
-    else:
-        bits = kmax
-        r = mod_pow2(DecimalNat(limbs), bits)
-        v2 = (r & -r).bit_length() - 1 if r else bits
-    zeros = trailing_zero_digits(DecimalNat(limbs)) if limbs.size else kmax
-    failed = [*range(1, min(zeros, kmax) + 1), *range(v2 + 1, kmax + 1)]
-    return failed, SplitBase(limbs, v2, bits)

@@ -76,6 +76,20 @@ class PowerState:
         validate_multiplier(multiplier)
         return cls(0, from_small(1), multiplier)
 
+    def is_exact(self) -> bool:
+        """Whether value is exactly multiplier**n, compared as Python ints.
+
+        multiplier**n has floor(n*log2 a) + 1 bits, so a value of any
+        other length is refused before pow builds multiplier**n, which
+        a forged n could make arbitrarily large.
+        """
+        x = to_int(self.value)
+        bits = self.multiplier.bit_length()
+        return (
+            self.n * (bits - 1) < x.bit_length() <= max(1, self.n * bits)
+            and x == pow(self.multiplier, self.n)
+        )
+
     def step(self) -> None:
         if self.multiplier == 2:
             double_in_place(self.value)
@@ -209,11 +223,8 @@ def load_checkpoint(path: str | Path) -> PowerState:
     if to_decimal_string(value) != value_str:
         raise CheckpointError(f"value does not round-trip in {path}")
     # exact: a value with a valid digest but not equal to multiplier**n
-    # (say, two digits swapped) must not seed a sweep.  a**n has
-    # floor(n*log2 a) + 1 bits, so any other length is rejected before
-    # pow builds a**n, which a forged n could make arbitrarily large
-    x = to_int(value)
-    bits = multiplier.bit_length()
-    if not n * (bits - 1) < x.bit_length() <= max(1, n * bits) or x != pow(multiplier, n):
+    # (say, two digits swapped) must not seed a sweep
+    state = PowerState(n, value, multiplier)
+    if not state.is_exact():
         raise CheckpointError(f"value is not {multiplier}**{n} in {path}")
-    return PowerState(n, value, multiplier)
+    return state

@@ -11,15 +11,19 @@ give byte-identical files.  JSON output is one object per line carrying
 the CSV fields plus m and the remaining per-n verdicts.
 
 The split bound is checked at every position k in 1..digit_count-1
-for every n, by checks.split_verdict, which decides it from v2 and the
-trailing zeros of the value and follows each row from the one before
-by a doubling certificate, so that a band converts once (see
-checks.py).  Each row is decided and tallied as it steps, from the
-limbs its other checks read.  Batches set only the write cadence:
-split rows' text is written together at a band's first row, alone,
-so that row leaves as early as it would on its own; then every
-SPLIT_BATCH rows; at every checkpoint row, before the save; and at the
-band's end.  Rows that check no splits are written one by one.
+for every n of a sweep of 2**n: a row passes it exactly when it is
+proven to hold 2**n, which meets the bound at every such k (see
+checks.py).  A band proves its start state exact with one radix
+conversion (PowerState.is_exact) and keeps a private copy of its
+limbs; each row, as it steps, copies its limbs and must be certified
+to hold twice the row before (bignum.is_doubled).  A row whose link
+fails fails lemma2_ok, and so does every later row of its band.
+
+Batches set only the write cadence: split rows' text is written
+together at a band's first row, alone, so that row leaves as early as
+it would on its own; then every SPLIT_BATCH rows; at every checkpoint
+row, before the save; and at the band's end.  Rows that check no
+splits are written one by one.
 
 A band of rows is one forward walk of the chain.  It first walks its
 start state, exactly and in place, to just below the first n that its
@@ -38,11 +42,10 @@ state is loaded and verified the process forks one child per band but
 the first.  Each child walks its copy of the start state to its own
 band and checks it into a buffer; the parent checks the first band,
 streaming it to `out`, then writes each child's text in n order and
-merges its failure counts, records, failure lines and log lines.  Every
-row is still decided from its own value: its split verdict tied to
-its band's conversion by certificates or, where one fails, converted
-on its own.  Every running_mean comes from its own window.  So the
-output bytes depend neither on `jobs` nor on where the batches fall.
+merges its failure counts, records, failure lines and log lines.  A
+row of a sound chain passes its split check from any band start, and
+every running_mean comes from its own window.  So the output bytes of
+a passing run depend neither on `jobs` nor on where the batches fall.
 
 A row's running_mean comes from a rolling integer sum of its window's
 terms floor(s * 10**16 / n), which brackets the exact sum; only when a
@@ -78,8 +81,8 @@ from typing import IO, Callable
 
 import numpy as np
 
-from .bignum import BACKEND, DecimalNat, digit_count, digit_sum, digit_tally
-from .checks import PositionTable, check_positions, split_verdict
+from .bignum import BACKEND, DecimalNat, digit_count, digit_sum, digit_tally, is_doubled
+from .checks import PositionTable, check_positions
 from .intlog import digit_count_range, digit_sum_exceeds_log4, floor_log2_pow10
 from .power import PowerState, load_checkpoint, save_checkpoint
 from .ratios import render_fraction, render_quotient, render_scaled
@@ -314,8 +317,7 @@ class _Tally:
         if self._log is not None:
             self._log("FAIL " + line)
 
-    def add(self, rec: VerificationRecord, split_failed: list[int]) -> None:
-        """Count the row; split_failed are its failed split positions."""
+    def add(self, rec: VerificationRecord) -> None:
         self.rows += 1
         if self.records is not None:
             self.records.append(rec)
@@ -323,10 +325,7 @@ class _Tally:
             bad = rec.failed_checks()
             for name in bad:
                 self.check_failures[name] = self.check_failures.get(name, 0) + 1
-            line = f"n={rec.n}: failed {','.join(bad)}"
-            if split_failed:
-                line += f"; split bound failed at k={split_failed[:10]}"
-            self.failure_line(line)
+            self.failure_line(f"n={rec.n}: failed {','.join(bad)}")
 
     def merge(self, later: "_Tally") -> None:
         """Append the tally of the rows just above this one's."""
@@ -416,8 +415,8 @@ def run_sweep(
                 state.step()
                 window.push(n, digit_sum(state.value))
             row_checks = _RowChecks(state.multiplier, gap, band_lo - 1)
-            base = None  # the split row before, as split_verdict copied it
-            failed_ks: list[int] = []
+            # a private copy of the row before, while it is proven 2**n
+            prev = state.value.limbs.copy() if splits and state.is_exact() else None
             text: list[str] = []  # rows not yet written
             for n in range(band_lo, band_hi + 1):
                 state.step()
@@ -428,9 +427,10 @@ def run_sweep(
                 )
                 if splits:
                     rec.lemma2_checked = min(n, rec.digit_count - 1)
-                    failed_ks, base = split_verdict(state.value.limbs, rec.lemma2_checked, base)
-                    rec.lemma2_ok = not failed_ks
-                tally.add(rec, failed_ks)
+                    row = state.value.limbs.copy() if prev is not None else None
+                    rec.lemma2_ok = row is not None and is_doubled(prev, row)
+                    prev = row if rec.lemma2_ok else None
+                tally.add(rec)
                 if row_text is not None:
                     text.append(row_text(rec, *window.push(n, rec.s)))
                     if not splits or due or n == band_hi or (n - band_lo) % SPLIT_BATCH == 0:

@@ -11,7 +11,6 @@ from digitpow.bignum import (
     is_doubled,
     mod_pow2,
     to_int,
-    trailing_zero_digits,
 )
 from oracles import is_canonical, oracle_digit_sum, school_mul_small, verify_split
 
@@ -90,19 +89,14 @@ def test_digit_count_examples():
 
 
 def test_split_examples():
-    # the split checks read A = x mod 10**k through A = x (mod 2**k) and
-    # A > 0 iff k exceeds the trailing zero digits of x
+    # A = x mod 10**k is congruent to x mod 2**k, since 2**k | 10**k
     x = dp.from_small(1024)
     assert verify_split(1024, 2)[:2] == (24, 10)
     assert verify_split(1024, 10)[:2] == (1024, 0)
     assert mod_pow2(x, 0) == 0
     assert mod_pow2(x, 2) == 24 % 4 == 0
     assert mod_pow2(x, 3) == 24 % 8 == 0
-    assert trailing_zero_digits(x) == 0
-    x = dp.from_small(10**5)
     assert verify_split(10**5, 3).low == 0
-    assert trailing_zero_digits(x) == 5
-    assert trailing_zero_digits(dp.from_small(10**9)) == 9
 
 
 def test_divisible_by_pow2_examples():
@@ -204,14 +198,11 @@ def test_mul_small_matches_int(v, c):
 
 @given(naturals, st.integers(min_value=0, max_value=60))
 def test_split_reconstruction(v, k):
-    # the two facts about A = v mod 10**k that the split verdicts read from
-    # the limbs instead of forming A
+    # A = v mod 10**k, read from the limbs mod 2**k without forming A
     x = make(v)
     low, high, _ = verify_split(v, k)
     assert low + high * 10**k == v and low < 10**k
     assert mod_pow2(x, k) == low % 2**k
-    if v:
-        assert (low > 0) == (k > trailing_zero_digits(x))
 
 
 @settings(deadline=None)
@@ -221,9 +212,6 @@ def test_mod_pow2_matches_int(v, bits):
     x = make(v)
     assert mod_pow2(x, bits) == v % 2**bits
     assert to_int(x) == v
-    if v:
-        s = str(v)
-        assert trailing_zero_digits(x) == len(s) - len(s.rstrip("0"))
 
 
 def test_mod_pow2_leaf_boundaries():
@@ -245,15 +233,6 @@ def test_mod_pow2_power_cache_stays_logarithmic():
     assert _pow5.cache_info().currsize == 4
     with pytest.raises(ValueError):
         mod_pow2(x, -1)
-    with pytest.raises(ValueError):
-        trailing_zero_digits(dp.zero())
-
-
-def test_trailing_zero_digits_limb_boundaries():
-    # limb 0 nonzero is read at once; otherwise the first nonzero limb
-    for v in (1, 7, 10, 2**40, 10**8, 10**9, 3 * 10**9, 10**17, 10**18, 5 * 10**30 + 10**40):
-        s = str(v)
-        assert trailing_zero_digits(make(v)) == len(s) - len(s.rstrip("0")), v
 
 
 def limbs_value(limbs) -> int:

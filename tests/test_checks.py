@@ -1,11 +1,11 @@
-import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import digitpow as dp
-import digitpow.checks
-from digitpow.checks import PositionTable, check_positions, split_verdict
+import digitpow.bignum
+import digitpow.sweep
+from digitpow.checks import PositionTable, check_positions
 from oracles import (
     decompose,
     four_power_bound_check,
@@ -16,18 +16,6 @@ from oracles import (
 )
 
 positives = st.integers(min_value=1, max_value=10**45)
-
-
-def power_state(n: int, multiplier: int = 2) -> dp.PowerState:
-    st_ = dp.PowerState.start(multiplier)
-    for _ in range(n):
-        st_.step()
-    return st_
-
-
-def scan(state: dp.PowerState, kmax: int) -> tuple[int, list[int]]:
-    """The split verdicts of one value, decided with no row before it."""
-    return kmax, split_verdict(state.value.limbs, kmax)[0]
 
 
 def positions(v: int):
@@ -96,8 +84,6 @@ def test_verify_split_examples():
     # low part 5 is odd; low part 0 is not positive
     assert verify_split(1025, 1).ok is False
     assert verify_split(1000, 2).ok is False
-    state = power_state(10)
-    assert scan(state, 2) == (2, [])
 
 
 @settings(deadline=None)
@@ -112,176 +98,27 @@ def test_verify_split_all_k(n):
 
 
 def test_scan_matches_verify_split():
+    # a sweep row passes its split check when it is proven to hold 2**n,
+    # and every low part of 2**n, formed directly, meets the bound
+    _, records = dp.run_sweep(dp.SweepConfig(max_n=212, jobs=1), collect=True)
     for n in (5, 17, 64, 100, 212):
-        state = power_state(n)
-        dc = dp.digit_count(state.value)
-        kmax = min(n, dc - 1)
-        assert scan(state, kmax) == (kmax, [])
+        rec = records[n - 1]
+        kmax = min(n, rec.digit_count - 1)
+        assert rec.lemma2_ok and rec.lemma2_checked == kmax
         assert all(verify_split(2**n, k).ok for k in range(1, kmax + 1))
 
 
-def test_scan_detects_tampering():
-    # a value that is not a power of two fails the divisibility side
-    state = dp.PowerState(10, dp.from_small(1025), 2)
-    checked, failed = scan(state, 3)
-    assert checked == 3
-    assert 1 in failed  # low digit 5 is odd
-    assert verify_split(1025, 1).ok is False
-
-
-def split_state(v: int) -> dp.PowerState:
-    # n does not enter the split verdicts; the value need not be 2**n
-    x = dp.from_decimal_string(str(v))
-    return dp.PowerState(dp.digit_count(x), x, 2)
-
-
-split_values = st.one_of(
-    # not a power of two: an odd factor above 1 times 2**t
-    st.builds(lambda a, t: (2 * a + 1) * 2**t,
-              st.integers(1, 10**40), st.integers(0, 150)),
-    # trailing decimal zeros: the low part is 0 for k up to z
-    st.builds(lambda a, z: a * 10**z, st.integers(1, 10**40), st.integers(1, 40)),
-    # more than one 64-limb conversion leaf, so every split level runs
-    st.builds(lambda a, t, z: a * 2**t * 10**z,
-              st.integers(10**600, 10**1300), st.integers(0, 3000), st.integers(0, 5)),
-)
-
-
-@settings(deadline=None)
-@given(split_values, st.data())
-def test_scan_failures_match_verify_split(v, data):
-    state = split_state(v)
-    dc = dp.digit_count(state.value)
-    assume(dc >= 2)
-    kmax = data.draw(st.integers(1, dc - 1))
-    checked, failed = scan(state, kmax)
-    assert checked == kmax
-    assert failed == [k for k in range(1, kmax + 1) if verify_split(v, k).ok is False]
-
-
-def test_scan_empty_and_errors():
-    state = power_state(10)
-    assert scan(state, 0) == (0, [])
-    # a zero value has low part 0 at every position
-    assert scan(dp.PowerState(3, dp.zero(), 2), 2) == (2, [1, 2])
-
-
-def split_row(v: int, kmax: int | None = None) -> tuple:
-    """(limbs, kmax) of v as a sweep row holds it; kmax defaults to the
-    highest split position, digit_count - 1."""
-    x = dp.from_decimal_string(str(v))
-    if kmax is None:
-        kmax = dp.digit_count(x) - 1 if v else 3
-    return x.limbs, kmax
-
-
-def one_row(row: tuple) -> tuple[int, list[int]]:
-    limbs, kmax = row
-    return kmax, split_verdict(limbs, kmax)[0]
-
-
-def chain(rows: list) -> list[tuple[int, list[int]]]:
-    """(kmax, failed positions) of rows decided one after the other,
-    each passed the base the row before returned."""
-    out, base = [], None
-    for limbs, kmax in rows:
-        failed, base = split_verdict(limbs, kmax, base)
-        out.append((kmax, failed))
-        # the base is a private, read-only copy of the row
-        assert base.limbs is not limbs and not base.limbs.flags.writeable
-        assert np.array_equal(base.limbs, limbs)
-    return out
-
-
-def oracle_row(v: int, kmax: int) -> tuple[int, list[int]]:
-    """The verdicts of v at positions 1..kmax, each low part formed
-    directly; 0, whose low part is 0 everywhere, fails at every k."""
-    if not v:
-        return kmax, list(range(1, kmax + 1))
-    return kmax, [k for k in range(1, kmax + 1) if verify_split(v, k).ok is False]
-
-
-def doubling_runs(segments, data) -> tuple[list[tuple], list[tuple[int, int]]]:
-    """Rows in doubling runs x0 * 2**j, j < count, for each (x0, count)
-    of segments (a run may happen to continue the one before), each
-    with any kmax in 0..digit_count-1; returns the rows and their
-    (value, kmax)."""
-    rows, values = [], []
-    for x0, count in segments:
-        for j in range(count):
-            v = x0 << j
-            kmax = data.draw(st.integers(0, len(str(v)) - 1 if v else 5))
-            rows.append(split_row(v, kmax))
-            values.append((v, kmax))
-    return rows, values
-
-
-@pytest.mark.parametrize("x0", [3 * 2**40, 5**30, 7 * 10**12, 3**50 * 10**3, 2**50, 0])
-def test_split_verdicts_equal_per_row(x0):
-    # chains x0 * 2**j of non-powers (and of 0, and of a power), cut at
-    # every position: rows c.. come from the chain of y0, so the link
-    # into row c is no doubling, and row c must convert on its own
-    y0 = 3 * x0 if x0 else 1
-    length = 32
-    chain_x = [split_row(x0 << j) for j in range(length)]
-    chain_y = [split_row(y0 << j) for j in range(length)]
-    expect_x = [one_row(row) for row in chain_x]
-    expect_y = [one_row(row) for row in chain_y]
-    for v, (kmax, failed) in zip([x0 << j for j in range(length)], expect_x):
-        if v:  # the per-row route against low parts formed directly
-            assert failed == [k for k in range(1, kmax + 1) if verify_split(v, k).ok is False]
-    assert chain(chain_x) == expect_x
-    for cut in range(1, length):
-        assert chain(chain_x[:cut] + chain_y[cut:]) == expect_x[:cut] + expect_y[cut:], cut
-
-
-@settings(deadline=None, max_examples=60)
-@given(st.lists(st.tuples(st.one_of(st.just(0), split_values), st.integers(1, 16)),
-                min_size=1, max_size=4),
-       st.data())
-def test_split_verdicts_equal_per_row_on_any_rows(segments, data):
-    # doubling runs from arbitrary starts, zeros and non-powers among
-    # them, decided one after the other against the low parts formed
-    # directly: a run may start anywhere, so the base before it does
-    # not double into it
-    rows, values = doubling_runs(segments, data)
-    assert chain(rows) == [oracle_row(v, kmax) for v, kmax in values]
-
-
-def test_split_verdicts_zero_rows_and_empty():
-    zero = split_row(0)
-    assert zero[0].size == 0  # zero has no limbs
-    assert chain([zero, zero]) == [(3, [1, 2, 3])] * 2
-    # 2 * 5 * 10**20 is no zero: the link into the zero row fails
-    assert chain([split_row(5 * 10**20), zero]) == [
-        one_row(split_row(5 * 10**20)), (3, [1, 2, 3])
-    ]
-    # no split position to check
-    assert chain([split_row(0, 0), split_row(1024, 0)]) == [(0, []), (0, [])]
-
-
-def test_split_verdicts_convert_once_per_unbroken_chain(monkeypatch):
-    # rows 2**1..2**300 with a sweep's kmax: the first row converts,
-    # and every later one follows from the row before
-    conversions = []
-    real = digitpow.checks.mod_pow2
-    monkeypatch.setattr(digitpow.checks, "mod_pow2",
-                        lambda x, bits: conversions.append(bits) or real(x, bits))
-    rows = [split_row(2**n, min(n, len(str(2**n)) - 1)) for n in range(1, 301)]
-    assert chain(rows) == [(kmax, []) for _, kmax in rows]
-    assert conversions == [0]
-    # a base that knows too few bits for the next row's kmax: that row
-    # converts on its own
-    conversions.clear()
-    rows = [split_row(3 * 2**40, 0), split_row(3 * 2**41, 12)]
-    assert chain(rows) == [(0, []), one_row(rows[1])] == [(0, []), (12, [])]
-    assert conversions == [0, 12, 12]  # one_row converts too
-    # a base with an exact v2 (3) that does not double into the next
-    # row, whose v2 is 10: that row converts on its own
-    conversions.clear()
-    rows = [split_row(8 * (10**20 + 1)), split_row(2**10 * (10**20 + 1))]
-    assert chain(rows) == [(20, list(range(4, 21))), (23, list(range(11, 24)))]
-    assert len(conversions) == 2
+def test_scan_detects_tampering(monkeypatch):
+    # a value that is not a power of two fails the divisibility side,
+    # and a sweep that starts from it proves no row to hold 2**n
+    assert verify_split(1025, 1).ok is False  # low digit 5 is odd
+    monkeypatch.setattr(digitpow.sweep, "load_checkpoint",
+                        lambda path: dp.PowerState(10, dp.from_small(1025), 2))
+    summary, records = dp.run_sweep(
+        dp.SweepConfig(max_n=13, start_checkpoint="unread", jobs=1), collect=True
+    )
+    assert summary.check_failures["lemma2_ok"] == 3
+    assert [(r.lemma2_ok, r.lemma2_checked) for r in records] == [(False, 3)] * 3
 
 
 @settings(deadline=None)
@@ -436,6 +273,21 @@ def test_position_checks_at_the_bounds():
         assert (r.bound_ok, r.fourpow_ok) == (bound_ok, fourpow_ok)
         assert iterated_bound_check(v) is bound_ok
         assert four_power_bound_check(v) is fourpow_ok
+
+
+@pytest.mark.parametrize("limb", [0, 1])
+@pytest.mark.parametrize("bad", [10**9, 2**30 + 1, 2**31 - 1, -1, -(2**31)])
+def test_position_checks_fail_an_expanded_limb_out_of_range(limb, bad):
+    # limbs 0 and 1 of 2**200 are expanded; a value outside 0..10**9-1
+    # there fails every position check instead of reading past, or from
+    # the end of, the chunk tables
+    x = dp.from_decimal_string(str(2**200))
+    table = PositionTable(dp.floor_log2_pow10(dp.digit_count(x)))
+    assert all(check_positions(x.limbs, table))
+    x.limbs[limb] = bad
+    assert tuple(check_positions(x.limbs, table)) == (False, False, False)
+    with pytest.raises(ValueError, match=f"limb {limb} is {bad}"):
+        dp.bignum.low_digit_positions(enumerate(x.limbs.tolist()), 30)
 
 
 def test_decompose_matches_oracle_digit_sums():

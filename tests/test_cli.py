@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import digitpow as dp
-import digitpow.checks
+import digitpow.bignum
 import digitpow.power
 import digitpow.sweep
 from digitpow.cli import main
+from digitpow.shards import plan_shards
 from digitpow.sweep import CSV_HEADER
 from oracles import (
     bfile_text,
@@ -368,24 +369,28 @@ def drop_carry_at(monkeypatch, n: int) -> None:
 @pytest.mark.parametrize("n", DROPPED_CARRY_ROWS)
 def test_verify_catches_a_dropped_carry(tmp_path, capsys, monkeypatch, n):
     # the link into row n fails its certificate; the rows below keep
-    # their own verdicts, and every row from n on is decided from its
-    # value
+    # their verdicts, and no row from n on is proven to hold 2**n.  They
+    # fail with no radix conversion beyond the band's start
+    conversions = count_conversions(tmp_path, monkeypatch)
     drop_carry_at(monkeypatch, n)
     argv = ["verify", "--max-n", "130", "--jobs", "1", "--out", str(tmp_path / "rows.csv")]
     assert main(argv) == 1
     lines = fail_lines(capsys.readouterr().err)
     assert lines[0].startswith(f"FAIL n={n}: failed lemma2_ok,")
-    assert lines[0].endswith("; split bound failed at k=[10, 11, 12, 13, 14, 15, 16, 17, 18, 19]")
+    assert conversions() == "p"
 
 
-# row 1500 has 51 limbs, and its position checks read limbs 0..9 only
-@pytest.mark.parametrize("limb", [20, 45])
+# row 1500 has 51 limbs, and its position checks expand limbs 0..9:
+# limbs 0 and 1 are expanded, 20 and 45 are not
+@pytest.mark.parametrize("limb", [0, 1, 20, 45])
 @pytest.mark.parametrize("when", ["checked", "stepped"])
 def test_verify_catches_a_limb_that_doubles_past_int32(tmp_path, capsys, monkeypatch, limb, when):
     # one limb of row n is set to 2**30 + 1, outside the limb range,
     # before row n is checked or after, before the step to n + 1.  Its
     # double, 2**31 + 2, does not fit int32.  The sweep fails at the
-    # first row that holds or doubles the bad limb, never passes it
+    # first row that holds or doubles the bad limb, never passes it, and
+    # an expanded limb outside the range fails the position checks
+    # rather than raising
     n = 1500
     if when == "checked":
         real = digitpow.sweep._RowChecks.__call__
@@ -412,19 +417,20 @@ def test_verify_catches_a_limb_that_doubles_past_int32(tmp_path, capsys, monkeyp
     lines = fail_lines(capsys.readouterr().err)
     first = n if when == "checked" else n + 1
     assert lines[0].startswith(f"FAIL n={first}: failed ")
+    if limb < 2 and when == "checked":
+        assert "gap_ok,fourpow_ok,ekbound_ok" in lines[0]
 
 
 def test_a_sweep_logs_at_most_max_logged_failures(tmp_path, capsys, monkeypatch):
-    # a carry dropped at n = 1000 fails every row after it, each at
-    # hundreds of split positions; each row's split failures ride its
-    # one failure line, and the sweep logs only the first lines
+    # a carry dropped at n = 1000 fails every row after it, and the
+    # sweep logs only the first lines
     drop_carry_at(monkeypatch, 1000)
     argv = ["verify", "--max-n", "20000", "--jobs", "1", "--out", str(tmp_path / "rows.csv")]
     assert main(argv) == 1
     lines = fail_lines(capsys.readouterr().err)
     assert len(lines) == dp.sweep.MAX_LOGGED_FAILURES
     assert lines[0].startswith("FAIL n=1000: failed lemma2_ok,")
-    assert "; split bound failed at k=[" in lines[-1]
+    assert lines[-1].startswith("FAIL n=1019: failed lemma2_ok,")
 
 
 def test_verify_ignores_a_row_changed_after_the_next_step(tmp_path, capsys, monkeypatch):
@@ -447,64 +453,125 @@ def test_verify_ignores_a_row_changed_after_the_next_step(tmp_path, capsys, monk
 
 
 def count_conversions(tmp_path, monkeypatch):
-    """Counts the calls of checks.mod_pow2, the radix conversion, in a
-    file: a forked shard converts in its own process."""
+    """Logs each call of bignum.mod_pow2, the radix conversion, to a
+    file, as "p" inside PowerState.is_exact, the band-start proof, and
+    "x" outside it: a forked shard converts in its own process."""
     log = tmp_path / "conversions"
     log.write_text("")
-    real = digitpow.checks.mod_pow2
+    real_exact, real_mod = dp.PowerState.is_exact, digitpow.bignum.mod_pow2
+    proving = []
+
+    def exact(self):
+        proving.append(None)
+        try:
+            return real_exact(self)
+        finally:
+            proving.pop()
 
     def spy(x, bits):
         with open(log, "a") as fh:
-            fh.write(".")
-        return real(x, bits)
+            fh.write("p" if proving else "x")
+        return real_mod(x, bits)
 
-    monkeypatch.setattr(digitpow.checks, "mod_pow2", spy)
-    return lambda: len(log.read_text())
+    monkeypatch.setattr(dp.PowerState, "is_exact", exact)
+    monkeypatch.setattr(digitpow.bignum, "mod_pow2", spy)
+    return log.read_text
 
 
 @pytest.mark.parametrize("jobs", [1, 3])
 def test_verify_converts_once_per_band(tmp_path, capsys, monkeypatch, jobs):
-    # each band's first row converts; every later row follows from the
-    # row before
+    # each band proves its start state with one conversion; every row
+    # after it is certified from the row before, with none.  The bands
+    # of --window 7 prove their start after the warm-up steps
     conversions = count_conversions(tmp_path, monkeypatch)
-    argv = ["verify", "--max-n", "3000", "--jobs", str(jobs), "--out", str(tmp_path / "rows.csv")]
-    assert main(argv) == 0
-    assert conversions() == jobs
-
-
-@pytest.mark.parametrize("n", DROPPED_CARRY_ROWS)
-def test_a_dropped_carry_costs_one_more_conversion(tmp_path, capsys, monkeypatch, n):
-    # the link into row n fails, so row n converts on its own; the rows
-    # after it follow from it
-    conversions = count_conversions(tmp_path, monkeypatch)
-    test_verify_catches_a_dropped_carry(tmp_path, capsys, monkeypatch, n)
-    assert conversions() == 2
+    for window in ("1", "7"):
+        argv = ["verify", "--max-n", "3000", "--window", window, "--jobs", str(jobs),
+                "--out", str(tmp_path / "rows.csv")]
+        assert main(argv) == 0
+        assert conversions() == "p" * jobs
+        (tmp_path / "conversions").write_text("")
 
 
 @pytest.mark.parametrize("n", [98, 101, 113])
 def test_verify_catches_a_row_changed_after_its_step(tmp_path, capsys, monkeypatch, n):
-    # row n gains 2 in place after its split verdict, before the step to
-    # n + 1 doubles it; n opens, sits inside and closes the write batch
-    # 98..113.  Row n was decided from a copy of its limbs, and that copy
-    # is the base row n + 1 links to, so the link into row n + 1 =
-    # 2**(n+1) + 4 fails, row n + 1 converts on its own and the rows
-    # after it follow from it
+    # row n gains 2 in place after its verdicts, as the step to n + 1
+    # begins; n opens, sits inside and closes the write batch 98..113.
+    # Row n was decided from a copy of its limbs, and that copy is what
+    # row n + 1 links to, so the link into row n + 1 = 2**(n+1) + 4
+    # fails, and no row after it is proven to hold 2**n
     conversions = count_conversions(tmp_path, monkeypatch)
-    real = digitpow.sweep.split_verdict
+    real = digitpow.power.double_in_place
+    steps = []
 
-    def verdict(limbs, kmax, base):
-        out = real(limbs, kmax, base)
-        if dp.to_decimal_string(dp.DecimalNat(limbs)) == str(2**n):
-            limbs[0] += 2
-        return out
+    def corrupt(x):
+        steps.append(None)
+        if len(steps) == n + 1:
+            assert dp.to_decimal_string(x) == str(2**n)
+            x.limbs[0] += 2
+        return real(x)
 
-    monkeypatch.setattr(digitpow.sweep, "split_verdict", verdict)
+    monkeypatch.setattr(digitpow.power, "double_in_place", corrupt)
     argv = ["verify", "--max-n", "130", "--jobs", "1", "--out", str(tmp_path / "rows.csv")]
     assert main(argv) == 1
     lines = fail_lines(capsys.readouterr().err)
     assert lines[0].startswith(f"FAIL n={n + 1}: failed lemma2_ok,")
-    assert lines[0].endswith("; split bound failed at k=[3, 4, 5, 6, 7, 8, 9, 10, 11, 12]")
-    assert conversions() == 2
+    assert conversions() == "p"
+
+
+def swap_top_digits(x) -> None:
+    """Swaps the top two digits of x in place; they must differ."""
+    s = dp.to_decimal_string(x)
+    assert s[0] != s[1]
+    x.limbs = dp.from_decimal_string(s[1] + s[0] + s[2:]).limbs
+
+
+@pytest.mark.parametrize("n", [1500, 1511])
+def test_verify_catches_swapped_top_digits_of_the_last_row(tmp_path, capsys, monkeypatch, n):
+    # the step to the last row swaps its top two digits: 2**1500 =
+    # 35... turns into 53..., 2**1511 = 71... into 17...  The digit sum,
+    # the digit count and the low digits stay, so only the certificate
+    # of the link into row n sees it
+    real = digitpow.power.double_in_place
+    steps = []
+
+    def mutant(x):
+        real(x)
+        steps.append(None)
+        if len(steps) == n:
+            swap_top_digits(x)
+        return x
+
+    monkeypatch.setattr(digitpow.power, "double_in_place", mutant)
+    argv = ["verify", "--max-n", str(n), "--jobs", "1", "--out", str(tmp_path / "rows.csv")]
+    assert main(argv) == 1
+    assert fail_lines(capsys.readouterr().err) == [f"FAIL n={n}: failed lemma2_ok"]
+
+
+def test_verify_catches_a_corrupt_walk_into_a_child_band(tmp_path, capsys, monkeypatch):
+    # the child band's walk to its start multiplies by 2**29 per step,
+    # and its last multiplication swaps the top two digits of the
+    # product.  The band's start state is then not 2**n, so its first
+    # row fails lemma2_ok, and so does every row of the band
+    max_n = 2364
+    (_, parent_hi), (lo, hi) = plan_shards(1, max_n, 2)
+    walks = (lo - 1) // 29  # multiplications by 2**29 on the way to lo - 1
+    real = digitpow.power.mul_small
+    calls = []
+
+    def mutant(x, c):
+        y = real(x, c)
+        calls.append(c)
+        if len(calls) == walks:
+            swap_top_digits(y)
+        return y
+
+    monkeypatch.setattr(digitpow.power, "mul_small", mutant)
+    out = tmp_path / "rows.csv"
+    assert main(["verify", "--max-n", str(max_n), "--jobs", "2", "--out", str(out)]) == 1
+    lines = fail_lines(capsys.readouterr().err)
+    assert lines[0].startswith(f"FAIL n={lo}: failed lemma2_ok")
+    lemma2 = [row.split(",")[6] for row in out.read_text().splitlines()[1:]]
+    assert lemma2 == ["1"] * parent_hi + ["0"] * (hi - lo + 1)
 
 
 def test_sweep_checkpoint_cadence(tmp_path):

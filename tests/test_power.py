@@ -15,6 +15,20 @@ def test_state_matches_exponentiation(multiplier):
         assert dp.to_decimal_string(state.value) == oracle_value_str(n, multiplier)
 
 
+@pytest.mark.parametrize("multiplier", [2, 3, 99])
+def test_is_exact(multiplier, monkeypatch):
+    state = dp.PowerState.start(multiplier)
+    for n in range(60):
+        assert state.is_exact(), n
+        state.step()
+    value = swap_adjacent_digits(str(multiplier**60))
+    assert not dp.PowerState(60, dp.from_decimal_string(value), multiplier).is_exact()
+    assert not dp.PowerState(60, dp.from_small(0), multiplier).is_exact()
+    # a value too short for a**n is refused before pow builds a**n
+    monkeypatch.setattr("builtins.pow", None)  # a call would raise
+    assert not dp.PowerState(10**12, dp.from_small(1), multiplier).is_exact()
+
+
 @pytest.mark.parametrize("bad", [-2, 0, 1, 10, 100, 1000])
 def test_multiplier_validation(bad):
     with pytest.raises(ValueError):

@@ -82,10 +82,10 @@ def test_stats_sharded_bytes_equal_one_process(tmp_path, multiplier, window, fmt
 
 
 def test_sharded_tampered_start_reports_as_one_process(monkeypatch):
-    # 10 * 2**10 at n = 10: every later row has one digit too many and a
-    # zero low digit, so it fails four checks, its split bound among them;
-    # the 20 failure lines, each with its split positions, end at n = 30,
-    # past the first shard
+    # 10 * 2**10 at n = 10: no band's start state is 2**n, and every
+    # later row has one digit too many and a zero low digit, so it fails
+    # four checks, its split bound among them; the 20 failure lines end
+    # at n = 30, past the first shard
     reports = []
     for jobs in JOBS:
         monkeypatch.setattr(
@@ -102,20 +102,19 @@ def test_sharded_tampered_start_reports_as_one_process(monkeypatch):
     assert reports[0][1] == [
         ("lemma2_ok", 26), ("fourpow_ok", 26), ("ekbound_ok", 26), ("digitcount_ok", 26)
     ]
-    assert sum("; split bound failed at k=" in line for line in reports[0][3]) == 20
     assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 def fail_at(monkeypatch, bad_n: int) -> None:
-    # the split verdict of the row that holds 2**bad_n raises
-    real = digitpow.sweep.split_verdict
+    # the doubling certificate of the row that holds 2**bad_n raises
+    real = digitpow.sweep.is_doubled
 
-    def verdict(limbs, kmax, base):
-        if dp.to_decimal_string(dp.DecimalNat(limbs)) == str(2**bad_n):
+    def certify(old, new):
+        if dp.to_decimal_string(dp.DecimalNat(new)) == str(2**bad_n):
             raise dp.CheckpointError(f"injected at n={bad_n}")
-        return real(limbs, kmax, base)
+        return real(old, new)
 
-    monkeypatch.setattr(digitpow.sweep, "split_verdict", verdict)
+    monkeypatch.setattr(digitpow.sweep, "is_doubled", certify)
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
