@@ -369,15 +369,12 @@ def drop_carry_at(monkeypatch, n: int) -> None:
 @pytest.mark.parametrize("n", DROPPED_CARRY_ROWS)
 def test_verify_catches_a_dropped_carry(tmp_path, capsys, monkeypatch, n):
     # the link into row n fails its certificate; the rows below keep
-    # their verdicts, and no row from n on is proven to hold 2**n.  They
-    # fail with no radix conversion beyond the band's start
-    conversions = count_conversions(tmp_path, monkeypatch)
+    # their verdicts, and no row from n on is proven to hold 2**n
     drop_carry_at(monkeypatch, n)
     argv = ["verify", "--max-n", "130", "--jobs", "1", "--out", str(tmp_path / "rows.csv")]
     assert main(argv) == 1
     lines = fail_lines(capsys.readouterr().err)
     assert lines[0].startswith(f"FAIL n={n}: failed lemma2_ok,")
-    assert conversions() == "p"
 
 
 # row 1500 has 51 limbs, and its position checks expand limbs 0..9:
@@ -490,6 +487,15 @@ def test_verify_converts_once_per_band(tmp_path, capsys, monkeypatch, jobs):
         assert main(argv) == 0
         assert conversions() == "p" * jobs
         (tmp_path / "conversions").write_text("")
+
+
+@pytest.mark.parametrize("n", DROPPED_CARRY_ROWS)
+def test_a_dropped_carry_costs_one_more_conversion(tmp_path, capsys, monkeypatch, n):
+    # the run's one conversion is the band's start proof: the rows from
+    # the broken link into row n on fail without a conversion of their own
+    conversions = count_conversions(tmp_path, monkeypatch)
+    test_verify_catches_a_dropped_carry(tmp_path, capsys, monkeypatch, n)
+    assert conversions() == "p"
 
 
 @pytest.mark.parametrize("n", [98, 101, 113])
