@@ -11,7 +11,7 @@ per-row pass moves half the bytes of int64.  The per-row kernels keep
 their carries in that dtype too, since a ufunc that mixes bool and int
 operands costs about twice the same-dtype one.  Only where a product
 can pass 2**31 is it formed in int64: mul_small's limb * c, the limb
-pairs of the radix conversion, and the weighted digit sum of parsing.
+pairs of to_int's fold, and the weighted digit sum of parsing.
 Tables are gathered through an intp copy of their int32 index, since
 numpy's fancy indexing with an int32 index is several times slower than
 the cast plus the gather.
@@ -22,7 +22,6 @@ the empty limb sequence.  Every constructor produces canonical values.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -82,9 +81,6 @@ class DecimalNat:
         assert limbs.dtype == _LIMB_DTYPE
         assert limbs.size == 0 or limbs[-1] != 0, "non-canonical: zero top limb"
         self.limbs = limbs
-
-    def copy(self) -> "DecimalNat":
-        return DecimalNat(self.limbs.copy())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DecimalNat):
@@ -255,10 +251,6 @@ def mul_small(x: DecimalNat, c: int) -> DecimalNat:
     """Multiply by a small natural c < LIMB_BASE; returns a new value."""
     if not 0 <= c < LIMB_BASE:
         raise ValueError(f"multiplier must be in 0..{LIMB_BASE - 1}, got {c}")
-    if c == 0 or x.limbs.size == 0:
-        return zero()
-    if c == 1:
-        return x.copy()
     p = x.limbs.astype(np.int64) * c  # limb * c < 10**18, fits int64
     carry = p // LIMB_BASE
     p -= carry * LIMB_BASE
@@ -283,8 +275,6 @@ def div_small(x: DecimalNat, d: int) -> tuple[DecimalNat, int]:
     l = x.limbs
     if l.size == 0:
         return zero(), 0
-    if d == 1:
-        return x.copy(), 0
     if d == 2:
         half = l >> 1
         half[:-1] += (l[1:] & 1) * (LIMB_BASE // 2)
@@ -345,71 +335,27 @@ def is_doubled(old: np.ndarray, new: np.ndarray) -> bool:
     return not np.count_nonzero(t)
 
 
-# limbs per leaf of the radix conversion below
-_LEAF_LIMBS = 64
-_LEAF_DIGITS = LIMB_DIGITS * _LEAF_LIMBS
+def to_int(x: DecimalNat) -> int:
+    """Exact conversion to a Python int, by a pairwise fold.
 
-
-def _leaf_values(limbs: np.ndarray) -> list[int]:
-    """Values of consecutive 64-limb blocks, lowest block first."""
-    m = -(-limbs.size // _LEAF_LIMBS)
-    a = np.zeros(m * _LEAF_LIMBS, dtype=np.int64)
-    a[: limbs.size] = limbs
-    a = a.reshape(m, _LEAF_LIMBS)
-    # a limb pair is below 10**18, formed in int64; wider blocks
-    # combine as Python ints, one column pass per doubling
-    v = (a[:, 0::2] + a[:, 1::2] * LIMB_BASE).astype(object)
-    b = LIMB_BASE * LIMB_BASE
-    while v.shape[1] > 1:
-        v = v[:, 0::2] + v[:, 1::2] * b
-        b *= b
-    return v[:, 0].tolist()
-
-
-@lru_cache(maxsize=None)
-def _pow5(digits: int) -> int:
-    # callers pass _LEAF_DIGITS times a power of two, so a whole run
-    # keeps O(log L) entries for values of up to L limbs
-    return 5**digits
-
-
-def _reduce(leaves: list[int], lo: int, hi: int, bits: int) -> int:
-    """Value of leaves[lo:hi], read in base 10**_LEAF_DIGITS, mod 2**bits."""
-    mask = (1 << bits) - 1
-    n = hi - lo
-    if n == 1:
-        return leaves[lo] & mask
-    h = 1 << ((n - 1).bit_length() - 1)  # largest power of two below n
-    low = _reduce(leaves, lo, lo + h, bits)
-    shift = _LEAF_DIGITS * h
-    rest = bits - shift
-    if rest <= 0:
-        return low
-    # the upper part enters times 10**shift = 2**shift * 5**shift, so
-    # only its low `rest` bits count
-    high = _reduce(leaves, lo + h, hi, rest) * (_pow5(shift) & ((1 << rest) - 1))
-    return (low + (high << shift)) & mask
-
-
-def mod_pow2(x: DecimalNat, bits: int) -> int:
-    """x mod 2**bits, converted straight from the limbs.
-
-    Divide and conquer over 64-limb leaves, split at power-of-two leaf
-    counts (Brent and Zimmermann, Modern Computer Arithmetic, 1.7).
-    Limb i has place value 10**(9i), a multiple of 2**(9i), so limbs at
-    or above bits/9 drop out; an upper half at digit offset d enters
-    times 10**d = 2**d * 5**d and needs only its low bits - d bits.  No
-    division and no decimal text.
+    The limbs are padded with zero limbs to a power-of-two count.  Limb
+    pairs combine in int64, since a pair is below 10**18; then adjacent
+    blocks combine as Python ints, low + high * b, with the block base b
+    squared after each pass but the last.  Every pass halves the block
+    count and doubles the block width, so the multiplications stay
+    balanced and the whole fold is subquadratic: no division and no
+    decimal text, whose int(str) is quadratic and refused past 4300
+    digits.
     """
-    if bits < 0:
-        raise ValueError(f"bits must be >= 0, got {bits}")
-    limbs = x.limbs[: -(-bits // LIMB_DIGITS)]
+    limbs = x.limbs
     if limbs.size == 0:
         return 0
-    leaves = _leaf_values(limbs)
-    return _reduce(leaves, 0, len(leaves), bits)
-
-
-def to_int(x: DecimalNat) -> int:
-    """Exact conversion to a Python int."""
-    return mod_pow2(x, 30 * x.limbs.size)  # LIMB_BASE < 2**30
+    a = np.zeros(max(2, 1 << (limbs.size - 1).bit_length()), dtype=np.int64)
+    a[: limbs.size] = limbs
+    v = (a[0::2] + a[1::2] * LIMB_BASE).astype(object)
+    b = LIMB_BASE * LIMB_BASE
+    while v.size > 1:
+        v = v[0::2] + v[1::2] * b
+        if v.size > 1:
+            b *= b
+    return int(v[0])

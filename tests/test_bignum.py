@@ -1,17 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import digitpow as dp
 from digitpow import bignum
-from digitpow.bignum import (
-    _pow5,
-    div_small,
-    is_doubled,
-    mod_pow2,
-    to_int,
-)
+from digitpow.bignum import div_small, is_doubled, to_int
 from oracles import is_canonical, oracle_digit_sum, school_mul_small, verify_split
 
 naturals = st.integers(min_value=0, max_value=10**45)
@@ -89,23 +83,9 @@ def test_digit_count_examples():
 
 
 def test_split_examples():
-    # A = x mod 10**k is congruent to x mod 2**k, since 2**k | 10**k
-    x = dp.from_small(1024)
     assert verify_split(1024, 2)[:2] == (24, 10)
     assert verify_split(1024, 10)[:2] == (1024, 0)
-    assert mod_pow2(x, 0) == 0
-    assert mod_pow2(x, 2) == 24 % 4 == 0
-    assert mod_pow2(x, 3) == 24 % 8 == 0
     assert verify_split(10**5, 3).low == 0
-
-
-def test_divisible_by_pow2_examples():
-    # 2**k | x exactly when x mod 2**k is 0
-    assert mod_pow2(dp.from_small(24), 2) == 0
-    assert mod_pow2(dp.from_small(24), 4) != 0
-    for k in (0, 1, 7, 100):
-        assert mod_pow2(dp.zero(), k) == 0
-    assert mod_pow2(dp.from_small(24), 0) == 0
 
 
 def test_compare_examples():
@@ -190,6 +170,10 @@ def test_double_matches_int(v):
 
 
 @given(naturals, st.integers(min_value=0, max_value=10**9 - 1))
+@example(0, 0)
+@example(10**9, 0)
+@example(3**40, 1)
+@example(10**9 - 1, 1)
 def test_mul_small_matches_int(v, c):
     y = dp.mul_small(make(v), c)
     assert is_canonical(y)
@@ -198,45 +182,30 @@ def test_mul_small_matches_int(v, c):
 
 @given(naturals, st.integers(min_value=0, max_value=60))
 def test_split_reconstruction(v, k):
-    # A = v mod 10**k, read from the limbs mod 2**k without forming A
-    x = make(v)
     low, high, _ = verify_split(v, k)
     assert low + high * 10**k == v and low < 10**k
-    assert mod_pow2(x, k) == low % 2**k
 
 
 @settings(deadline=None)
-@given(st.integers(min_value=0, max_value=10**2500), st.integers(min_value=0, max_value=9000))
-def test_mod_pow2_matches_int(v, bits):
-    # up to 278 limbs: five 64-limb leaves, so every split level runs
-    x = make(v)
-    assert mod_pow2(x, bits) == v % 2**bits
-    assert to_int(x) == v
-
-
-def test_mod_pow2_leaf_boundaries():
-    # an upper part at leaf offset j enters times 2**(576 j); check bit
-    # counts that reach just below, at and just past each such offset
-    v = 3**6000  # 2863 digits, five leaves
-    x = make(v)
-    for j in range(1, 6):
-        for bits in range(576 * j - 2, 576 * j + 12):
-            assert mod_pow2(x, bits) == v % 2**bits
-
-
-def test_mod_pow2_power_cache_stays_logarithmic():
-    _pow5.cache_clear()
-    for limbs in range(1, 600):
-        x = dp.from_decimal_string("7" * (9 * limbs))
-        assert mod_pow2(x, 30 * limbs) == 7 * (10 ** (9 * limbs) - 1) // 9
-    # 600 limbs are 10 leaves: splits at 1, 2, 4 and 8 leaves only
-    assert _pow5.cache_info().currsize == 4
-    with pytest.raises(ValueError):
-        mod_pow2(x, -1)
+@given(st.integers(min_value=0, max_value=10**2500))
+def test_to_int_matches_int(v):
+    # up to 278 limbs, padded to 512: eight folds of Python-int blocks
+    assert to_int(make(v)) == v
 
 
 def limbs_value(limbs) -> int:
     return sum(int(v) * 10 ** (9 * i) for i, v in enumerate(limbs))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 63, 64, 65, 127, 128, 129, 511, 512, 513])
+def test_to_int_at_padding_boundaries(size):
+    # limb counts just below, at and just past a power of two, where the
+    # padding goes from none to almost doubling the limbs
+    rng = np.random.default_rng(size)
+    random = rng.integers(0, 10**9, size=size, dtype=np.int32)
+    random[-1] = rng.integers(1, 10**9)
+    for limbs in (random, np.full(size, 10**9 - 1, dtype=np.int32)):
+        assert to_int(dp.DecimalNat(limbs)) == limbs_value(limbs)
 
 
 # limbs that make carries: near 0, 5 * 10**8 and 10**9 - 1
@@ -316,16 +285,11 @@ def test_is_doubled_examples():
     with pytest.raises(TypeError):
         is_doubled(a(5).astype(np.int64), a(10))
     x = make(3**4000)
-    y = x.copy()
+    y = dp.DecimalNat(x.limbs.copy())
     dp.double_in_place(y)
     assert is_doubled(x.limbs, y.limbs)
     y.limbs[100] += 1
     assert not is_doubled(x.limbs, y.limbs)
-
-
-@given(naturals, st.integers(min_value=0, max_value=80))
-def test_divisible_by_pow2_matches_int(v, k):
-    assert (mod_pow2(make(v), k) == 0) == (v % 2**k == 0)
 
 
 @given(naturals, naturals)
@@ -346,6 +310,8 @@ def test_digit_count_matches_len(v):
 
 
 @given(positives, st.integers(min_value=1, max_value=10**9 - 1))
+@example(1, 1)
+@example(3**4000, 1)
 def test_div_small_matches_int(v, d):
     q, r = div_small(make(v), d)
     assert is_canonical(q)

@@ -450,12 +450,13 @@ def test_verify_ignores_a_row_changed_after_the_next_step(tmp_path, capsys, monk
 
 
 def count_conversions(tmp_path, monkeypatch):
-    """Logs each call of bignum.mod_pow2, the radix conversion, to a
-    file, as "p" inside PowerState.is_exact, the band-start proof, and
-    "x" outside it: a forked shard converts in its own process."""
+    """Logs each call of to_int, the radix conversion, to a file, as "p"
+    inside PowerState.is_exact, the band-start proof, and "x" outside
+    it: a forked shard converts in its own process.  power.py binds
+    to_int at import, so the spy replaces that binding."""
     log = tmp_path / "conversions"
     log.write_text("")
-    real_exact, real_mod = dp.PowerState.is_exact, digitpow.bignum.mod_pow2
+    real_exact, real_to_int = dp.PowerState.is_exact, digitpow.power.to_int
     proving = []
 
     def exact(self):
@@ -465,13 +466,13 @@ def count_conversions(tmp_path, monkeypatch):
         finally:
             proving.pop()
 
-    def spy(x, bits):
+    def spy(x):
         with open(log, "a") as fh:
             fh.write("p" if proving else "x")
-        return real_mod(x, bits)
+        return real_to_int(x)
 
     monkeypatch.setattr(dp.PowerState, "is_exact", exact)
-    monkeypatch.setattr(digitpow.bignum, "mod_pow2", spy)
+    monkeypatch.setattr(digitpow.power, "to_int", spy)
     return log.read_text
 
 

@@ -222,6 +222,16 @@ def test_checkpoint_rejects_swapped_digits(tmp_path):
     assert "2**200" in str(exc.value)
 
 
+def test_checkpoint_rejects_a_leading_zero(tmp_path):
+    # the digest matches, and the digits read as 2**200, but a value
+    # line is the canonical decimal text or nothing
+    path = tmp_path / "ck.txt"
+    path.write_text(checkpoint_text(2, 200, "0" + str(2**200)))
+    with pytest.raises(dp.CheckpointError) as exc:
+        dp.load_checkpoint(path)
+    assert "leading zero" in str(exc.value)
+
+
 def test_checkpoint_loads_every_multiplier(tmp_path):
     # the bit-length screen in front of the exact check passes every a**n
     path = tmp_path / "ck.txt"
