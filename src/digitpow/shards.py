@@ -16,7 +16,8 @@ spawned interpreter: the child inherits the loaded and verified start
 state, the floor table and the caller's closures without pickling
 them.  The package starts no threads; the only other ones are the
 worker threads of numpy's BLAS, which no sweep calls.  Only the result
-travels back, pickled, through a pipe.
+travels back, pickled, through a pipe: for a sweep band, its rows, its
+tally and copies of the states due a checkpoint, which the parent saves.
 """
 
 from __future__ import annotations
@@ -75,8 +76,10 @@ class Forked:
     """`work()` running in a forked child.
 
     `result()` waits for it, reaps the child and returns what `work`
-    returned or raises what it raised.  `stop()` kills and reaps a child
-    whose result was not taken, so none outlives its caller.
+    returned or raises what it raised, or ChildProcessError, naming how
+    the child ended, when it sent back no readable result.  `stop()`
+    kills and reaps a child whose result was not taken, so none
+    outlives its caller.
     """
 
     def __init__(self, work: Callable[[], object]):
@@ -104,11 +107,15 @@ class Forked:
         pid = self.pid
         payload = self._pipe.read()
         self._pipe.close()
-        os.waitpid(pid, 0)
+        _, status = os.waitpid(pid, 0)
         self.pid = None
-        if not payload:
-            raise RuntimeError(f"sweep shard process {pid} ended without a result")
-        ok, value = pickle.loads(payload)  # written by the child forked above
+        try:
+            ok, value = pickle.loads(payload)  # written by the child forked above
+        except Exception as exc:
+            code = os.waitstatus_to_exitcode(status)
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+            what = "an unreadable result" if payload else "no result"
+            raise ChildProcessError(f"sweep shard process {pid} {how} with {what}") from exc
         if not ok:
             raise value
         return value

@@ -26,15 +26,14 @@ row, before the save; and at the band's end.  Rows that check no
 splits are written one by one.
 
 A band of rows is one forward walk of the chain.  It first walks its
-start state, exactly and in place, to just below the first n that its
-first row needs: with an output stream that is the first n in that
-row's running_mean window, reached with no digit work by stepping back,
-or forward by the largest multiplier**j below the limb base per
-multiplication (PowerState.step_forward); the walk then pushes the
-rows below the band into the window and checks and emits the rows in
-it.  So a resumed run writes the same bytes as an uninterrupted one,
-for any window.  Every verdict of a row but its split verdict comes
-from _RowChecks, built once per band.
+start state, exactly and in place, to just below the first n in its
+first row's running_mean window, reached with no digit work by
+stepping back, or forward by the largest multiplier**j below the limb
+base per multiplication (PowerState.step_forward); the walk then
+pushes the rows below the band into the window and checks and emits
+the rows in it.  So a resumed run writes the same bytes as an
+uninterrupted one, for any window.  Every verdict of a row but its
+split verdict comes from _RowChecks, built once per band.
 
 Every sweep is sharded: the emitted rows are cut into `jobs`
 contiguous bands of equal cost (shards.plan_shards), and once the start
@@ -56,20 +55,17 @@ row would cost about as much as the row's digit checks.
 
 Checkpoints fall on the grid (n - start n) % checkpoint_every == 0,
 or `checkpoint_seconds` after a band's start or its last checkpoint,
-plus once at max_n.  A child saves its checkpoints in a staging
-directory, and the parent moves them into place, in n order, only after
-the rows below them have gone to `out`.  So the checkpoint files do
-not depend on `jobs` either, as long as no time-triggered one falls
-due.
+plus once at max_n.  A child band keeps a private copy of each state
+that falls due and returns the copies with its rows; the parent saves
+them, in n order, right after it writes those rows.  So the checkpoint
+files do not depend on `jobs` either, as long as no time-triggered one
+falls due.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import os
-import shutil
-import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -345,13 +341,9 @@ def _walk_to(state: PowerState, n: int) -> None:
         state.step_forward(n - state.n)
 
 
-def _checkpoint_name(n: int) -> str:
-    return f"ckpt-n{n:012d}.txt"
-
-
 def run_sweep(
     cfg: SweepConfig,
-    out: IO[str] | None = None,
+    out: IO[str],
     fmt: str = "csv",
     collect: bool = False,
     log: Callable[[str], None] | None = None,
@@ -374,7 +366,7 @@ def run_sweep(
     emit_lo, emit_hi = cfg.emit_range or (1, cfg.max_n)
     if not 1 <= emit_lo <= emit_hi <= cfg.max_n:
         raise ValueError(f"bad emit range {emit_lo}..{emit_hi} for max_n {cfg.max_n}")
-    if out is not None and fmt not in _ROW_TEXT:
+    if fmt not in _ROW_TEXT:
         raise ValueError(f"unknown format {fmt!r}")
     # floor(x * log2 10) up to index digit_count: 2**n has at most
     # n // 3 + 1 digits, since log10 2 < 1/3
@@ -383,33 +375,34 @@ def run_sweep(
     splits = is_two and cfg.split_checks != "off"
     lo = max(emit_lo, start_n + 1)  # the first row emitted
     bands = plan_shards(lo, emit_hi, cfg.jobs if CAN_FORK else 1)
-    if out is not None and fmt == "csv":
+    row_text = _ROW_TEXT[fmt]
+    if fmt == "csv":
         out.write(CSV_HEADER + "\n")
     ckpt_dir = Path(cfg.checkpoint_dir) if cfg.checkpoint_dir is not None else None
     if ckpt_dir is not None:
         ckpt_dir.mkdir(parents=True, exist_ok=True)
 
+    def save_to_dir(s: PowerState) -> None:
+        save_checkpoint(s, ckpt_dir / f"ckpt-n{s.n:012d}.txt")
+
     def check_band(
-        band: tuple[int, int], out: IO[str] | None, tally: _Tally, ckpt_to: Path | None
-    ) -> list[str]:
+        band: tuple[int, int], out: IO[str], tally: _Tally, save: Callable[[PowerState], None]
+    ) -> None:
         """Check rows band[0]..band[1], walking `state` there from
-        wherever it stands; returns the names of the checkpoints saved
-        under ckpt_to, in n order."""
+        wherever it stands; hands each state due a checkpoint to save."""
         band_lo, band_hi = band
         window = _RatioWindow(cfg.window)
-        row_text = _ROW_TEXT[fmt] if out is not None else None
-        saved: list[str] = []
+        saved_n = None
         last_t = time.monotonic()
 
-        def save() -> None:
-            nonlocal last_t
-            saved.append(_checkpoint_name(state.n))
-            save_checkpoint(state, ckpt_to / saved[-1])
-            last_t = time.monotonic()
+        def checkpoint() -> None:
+            nonlocal saved_n, last_t
+            save(state)
+            saved_n, last_t = state.n, time.monotonic()
 
         if band_lo <= band_hi:
-            # with an output stream, row band_lo's window covers first..band_lo
-            first = max(1, band_lo - cfg.window + 1) if out is not None else band_lo
+            # row band_lo's window covers first..band_lo
+            first = max(1, band_lo - cfg.window + 1)
             _walk_to(state, first - 1)
             for n in range(first, band_lo):
                 state.step()
@@ -421,7 +414,7 @@ def run_sweep(
             for n in range(band_lo, band_hi + 1):
                 state.step()
                 rec = row_checks(n, state.value)
-                due = ckpt_to is not None and (
+                due = ckpt_dir is not None and (
                     (n - start_n) % cfg.checkpoint_every == 0
                     or time.monotonic() - last_t >= cfg.checkpoint_seconds
                 )
@@ -431,48 +424,44 @@ def run_sweep(
                     rec.lemma2_ok = row is not None and is_doubled(prev, row)
                     prev = row if rec.lemma2_ok else None
                 tally.add(rec)
-                if row_text is not None:
-                    text.append(row_text(rec, *window.push(n, rec.s)))
-                    if not splits or due or n == band_hi or (n - band_lo) % SPLIT_BATCH == 0:
-                        out.write("".join(text))
-                        text.clear()
+                text.append(row_text(rec, *window.push(n, rec.s)))
+                if not splits or due or n == band_hi or (n - band_lo) % SPLIT_BATCH == 0:
+                    out.write("".join(text))
+                    text.clear()
                 if due:
-                    save()
+                    checkpoint()
         # the last band ends the run with a checkpoint at max_n
-        last_band = band_hi == emit_hi
-        if ckpt_to is not None and last_band and saved[-1:] != [_checkpoint_name(cfg.max_n)]:
+        if ckpt_dir is not None and band_hi == emit_hi and saved_n != cfg.max_n:
             _walk_to(state, cfg.max_n)
-            save()
-        return saved
+            checkpoint()
 
-    def run_forked(band: tuple[int, int]) -> tuple[str, _Tally, list[str]]:
-        text = io.StringIO() if out is not None else None
+    def run_forked(band: tuple[int, int]) -> tuple[str, _Tally, list[PowerState]]:
+        text = io.StringIO()
         tally = _Tally(collect, None)
-        saved = check_band(band, text, tally, stage)
-        return (text.getvalue() if text is not None else ""), tally, saved
+        kept: list[PowerState] = []
+
+        def keep(s: PowerState) -> None:
+            kept.append(PowerState(s.n, DecimalNat(s.value.limbs.copy()), s.multiplier))
+
+        check_band(band, text, tally, keep)
+        return text.getvalue(), tally, kept
 
     tally = _Tally(collect, log)
-    stage = None  # forked shards' checkpoints wait here until their rows are out
     children: list[Forked] = []
     t0 = time.perf_counter()
     try:
-        if len(bands) > 1 and ckpt_dir is not None:
-            stage = Path(tempfile.mkdtemp(dir=ckpt_dir, prefix=".shards-"))
         for band in bands[1:]:
             children.append(Forked(partial(run_forked, band)))
-        check_band(bands[0], out, tally, ckpt_dir)
+        check_band(bands[0], out, tally, save_to_dir)
         for child in children:
-            text, later, saved = child.result()
+            text, later, kept = child.result()
             tally.merge(later)
-            if out is not None:
-                out.write(text)
-            for name in saved:
-                os.replace(stage / name, ckpt_dir / name)
+            out.write(text)
+            for s in kept:
+                save_to_dir(s)
     finally:
         for child in children:
             child.stop()
-        if stage is not None:
-            shutil.rmtree(stage, ignore_errors=True)
 
     summary = SweepSummary(
         state.multiplier, lo, emit_hi, tally.rows, time.perf_counter() - t0,

@@ -6,6 +6,7 @@ n <= 100000 sweep runs once as a session fixture and backs the
 criteria that quantify over the full range.
 """
 
+import hashlib
 import io
 import time
 from fractions import Fraction
@@ -19,6 +20,9 @@ from digitpow.sweep import CSV_HEADER
 from oracles import bfile_text, oracle_digit_sum
 
 FULL_SWEEP_MAX_N = 100_000
+# sha256 of the n <= 100000 CSV, the same from one process, sharded and
+# resumed runs
+FULL_SWEEP_SHA256 = "8373b33c527ff11ef715462ec527387a3c2509bd158c136714adf651128efa65"
 
 
 @pytest.fixture(scope="session")
@@ -59,9 +63,19 @@ def test_lower_bound_sweep(sweep_100k, capsys):
               f"0 failures in {s.elapsed:.1f}s (<= 300s)")
 
 
+def test_north_star_output_bytes(sweep_100k, capsys):
+    digest = hashlib.sha256(sweep_100k.csv.read_bytes()).hexdigest()
+    assert digest == FULL_SWEEP_SHA256
+    with capsys.disabled():
+        print(f"\n[PASS] north-star output: n=1..{FULL_SWEEP_MAX_N} CSV "
+              f"sha256 {digest}")
+
+
 def test_split_bound_exhaustive_band(capsys):
     t0 = time.perf_counter()
-    summary, records = dp.run_sweep(dp.SweepConfig(max_n=2000), collect=True)
+    summary, records = dp.run_sweep(
+        dp.SweepConfig(max_n=2000), out=io.StringIO(), collect=True
+    )
     elapsed = time.perf_counter() - t0
     assert summary.ok
     checked = 0
@@ -134,7 +148,7 @@ def test_checkpoint_determinism(tmp_path, capsys):
     dp.run_sweep(dp.SweepConfig(max_n=1000), out=fresh)
     ckdir = tmp_path / "ck"
     dp.run_sweep(dp.SweepConfig(max_n=500, checkpoint_dir=ckdir,
-                                checkpoint_every=10**9))
+                                checkpoint_every=10**9), out=io.StringIO())
     ckpt = ckdir / "ckpt-n000000000500.txt"
     assert ckpt.exists()
     resumed = io.StringIO()

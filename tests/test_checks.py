@@ -1,3 +1,5 @@
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,7 +102,9 @@ def test_verify_split_all_k(n):
 def test_scan_matches_verify_split():
     # a sweep row passes its split check when it is proven to hold 2**n,
     # and every low part of 2**n, formed directly, meets the bound
-    _, records = dp.run_sweep(dp.SweepConfig(max_n=212, jobs=1), collect=True)
+    _, records = dp.run_sweep(
+        dp.SweepConfig(max_n=212, jobs=1), out=io.StringIO(), collect=True
+    )
     for n in (5, 17, 64, 100, 212):
         rec = records[n - 1]
         kmax = min(n, rec.digit_count - 1)
@@ -115,7 +119,8 @@ def test_scan_detects_tampering(monkeypatch):
     monkeypatch.setattr(digitpow.sweep, "load_checkpoint",
                         lambda path: dp.PowerState(10, dp.from_small(1025), 2))
     summary, records = dp.run_sweep(
-        dp.SweepConfig(max_n=13, start_checkpoint="unread", jobs=1), collect=True
+        dp.SweepConfig(max_n=13, start_checkpoint="unread", jobs=1),
+        out=io.StringIO(), collect=True
     )
     assert summary.check_failures["lemma2_ok"] == 3
     assert [(r.lemma2_ok, r.lemma2_checked) for r in records] == [(False, 3)] * 3

@@ -32,7 +32,9 @@ def run_csv(cfg: dp.SweepConfig) -> tuple[dp.SweepSummary, list[str]]:
 
 
 def test_sweep_small_records():
-    summary, records = dp.run_sweep(dp.SweepConfig(max_n=10), collect=True)
+    summary, records = dp.run_sweep(
+        dp.SweepConfig(max_n=10), out=io.StringIO(), collect=True
+    )
     assert summary.ok and summary.rows == 10
     assert [r.n for r in records] == list(range(1, 11))
     last = records[-1]
@@ -51,7 +53,9 @@ def test_sweep_rows_expand_no_digit_array(monkeypatch):
         raise AssertionError("a sweep row expanded every digit")
 
     monkeypatch.setattr(dp.bignum, "_digit_planes", refuse)
-    summary, records = dp.run_sweep(dp.SweepConfig(max_n=300), collect=True)
+    summary, records = dp.run_sweep(
+        dp.SweepConfig(max_n=300), out=io.StringIO(), collect=True
+    )
     assert summary.ok and summary.rows == 300
     assert [r.s for r in records] == [oracle_digit_sum(n) for n in range(1, 301)]
     assert [r.m for r in records] == [sum(c != "0" for c in str(2**n)) for n in range(1, 301)]
@@ -89,7 +93,9 @@ def test_sweep_json_rows():
 
 
 def test_sweep_other_multiplier():
-    summary, records = dp.run_sweep(dp.SweepConfig(max_n=30, multiplier=3), collect=True)
+    summary, records = dp.run_sweep(
+        dp.SweepConfig(max_n=30, multiplier=3), out=io.StringIO(), collect=True
+    )
     assert summary.ok
     for rec in records:
         assert rec.s == oracle_digit_sum(rec.n, 3)
@@ -101,14 +107,16 @@ def test_sweep_other_multiplier():
 
 
 def test_sweep_multiplier_ending_in_zero():
-    summary, records = dp.run_sweep(dp.SweepConfig(max_n=20, multiplier=20), collect=True)
+    summary, records = dp.run_sweep(
+        dp.SweepConfig(max_n=20, multiplier=20), out=io.StringIO(), collect=True
+    )
     assert summary.ok
     assert records[-1].s == oracle_digit_sum(20, 20)
 
 
 def test_sweep_emit_range():
     summary, records = dp.run_sweep(
-        dp.SweepConfig(max_n=20, emit_range=(5, 8)), collect=True
+        dp.SweepConfig(max_n=20, emit_range=(5, 8)), out=io.StringIO(), collect=True
     )
     assert [r.n for r in records] == [5, 6, 7, 8]
     assert summary.rows == 4
@@ -135,7 +143,7 @@ def test_sweep_checks_every_split(tmp_path, split_checks):
         dp.SweepConfig(max_n=40, split_checks=split_checks),
         dp.SweepConfig(max_n=2520, start_checkpoint=ckpt, split_checks=split_checks),
     ):
-        summary, records = dp.run_sweep(cfg, collect=True)
+        summary, records = dp.run_sweep(cfg, out=io.StringIO(), collect=True)
         assert summary.ok
         for rec in records:
             assert rec.lemma2_checked == min(rec.n, rec.digit_count - 1)
@@ -143,13 +151,13 @@ def test_sweep_checks_every_split(tmp_path, split_checks):
 
 def test_sweep_rejects_bad_config():
     with pytest.raises(ValueError):
-        dp.run_sweep(dp.SweepConfig(max_n=0))
+        dp.run_sweep(dp.SweepConfig(max_n=0), out=io.StringIO())
     with pytest.raises(ValueError):
-        dp.run_sweep(dp.SweepConfig(max_n=10, split_checks="sometimes"))
+        dp.run_sweep(dp.SweepConfig(max_n=10, split_checks="sometimes"), out=io.StringIO())
     with pytest.raises(ValueError):
-        dp.run_sweep(dp.SweepConfig(max_n=10, emit_range=(5, 20)))
+        dp.run_sweep(dp.SweepConfig(max_n=10, emit_range=(5, 20)), out=io.StringIO())
     with pytest.raises(ValueError):
-        dp.run_sweep(dp.SweepConfig(max_n=10, multiplier=10))
+        dp.run_sweep(dp.SweepConfig(max_n=10, multiplier=10), out=io.StringIO())
 
 
 def test_sweep_resume_matches_fresh(tmp_path):
@@ -157,7 +165,8 @@ def test_sweep_resume_matches_fresh(tmp_path):
     dp.run_sweep(dp.SweepConfig(max_n=60, window=5), out=fresh)
     ckdir = tmp_path / "ck"
     dp.run_sweep(
-        dp.SweepConfig(max_n=30, window=5, checkpoint_dir=ckdir, checkpoint_every=10**9)
+        dp.SweepConfig(max_n=30, window=5, checkpoint_dir=ckdir, checkpoint_every=10**9),
+        out=io.StringIO()
     )
     ckpt = ckdir / "ckpt-n000000000030.txt"
     assert ckpt.exists()
@@ -185,11 +194,11 @@ def test_sweep_resume_detects_tampered_chain(tmp_path, monkeypatch):
     tampered = dp.PowerState(10, dp.from_small(1033), 2)
     ckpt = dp.save_checkpoint(tampered, tmp_path / "ck.txt")
     with pytest.raises(dp.CheckpointError):
-        dp.run_sweep(dp.SweepConfig(max_n=12, start_checkpoint=ckpt))
+        dp.run_sweep(dp.SweepConfig(max_n=12, start_checkpoint=ckpt), out=io.StringIO())
     # past the loader, the split checks still catch it downstream
     resume_from(monkeypatch, 10, 1033)
     summary, records = dp.run_sweep(
-        dp.SweepConfig(max_n=12, start_checkpoint=ckpt), collect=True
+        dp.SweepConfig(max_n=12, start_checkpoint=ckpt), out=io.StringIO(), collect=True
     )
     assert not summary.ok
     assert "lemma2_ok" in summary.check_failures
@@ -217,7 +226,8 @@ def test_sweep_resume_with_an_extra_digit(tmp_path, monkeypatch, n, max_n):
     # 10 * 2**n: one digit more than the floor table sized from max_n covers
     resume_from(monkeypatch, n, 10 * 2**n)
     summary, records = dp.run_sweep(
-        dp.SweepConfig(max_n=max_n, start_checkpoint=tmp_path / "unread.txt"), collect=True
+        dp.SweepConfig(max_n=max_n, start_checkpoint=tmp_path / "unread.txt"),
+        out=io.StringIO(), collect=True
     )
     assert records[-1].digit_count > max_n // 3 + 1
     assert not summary.ok
@@ -583,7 +593,9 @@ def test_verify_catches_a_corrupt_walk_into_a_child_band(tmp_path, capsys, monke
 
 def test_sweep_checkpoint_cadence(tmp_path):
     ckdir = tmp_path / "ck"
-    dp.run_sweep(dp.SweepConfig(max_n=25, checkpoint_dir=ckdir, checkpoint_every=10))
+    dp.run_sweep(
+        dp.SweepConfig(max_n=25, checkpoint_dir=ckdir, checkpoint_every=10), out=io.StringIO()
+    )
     names = sorted(p.name for p in ckdir.iterdir())
     assert names == [
         "ckpt-n000000000010.txt",
@@ -627,12 +639,14 @@ def test_resume_adopts_checkpoint_multiplier(tmp_path):
         state.step()
     ckpt = dp.save_checkpoint(state, tmp_path / "ck.txt")
     summary, records = dp.run_sweep(
-        dp.SweepConfig(max_n=15, start_checkpoint=ckpt), collect=True
+        dp.SweepConfig(max_n=15, start_checkpoint=ckpt), out=io.StringIO(), collect=True
     )
     assert summary.multiplier == 3
     assert records[-1].s == oracle_digit_sum(15, 3)
     with pytest.raises(ValueError):
-        dp.run_sweep(dp.SweepConfig(max_n=15, multiplier=2, start_checkpoint=ckpt))
+        dp.run_sweep(
+            dp.SweepConfig(max_n=15, multiplier=2, start_checkpoint=ckpt), out=io.StringIO()
+        )
 
 
 def test_cli_verify(tmp_path, capsys):

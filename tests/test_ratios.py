@@ -114,7 +114,7 @@ def test_running_mean_window_errors():
     # a window below 1 is refused with the sweep's other settings
     for window in (0, -3):
         with pytest.raises(ValueError, match="window"):
-            dp.run_sweep(dp.SweepConfig(max_n=10, window=window))
+            dp.run_sweep(dp.SweepConfig(max_n=10, window=window), out=io.StringIO())
 
 
 @given(

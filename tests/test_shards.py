@@ -4,13 +4,16 @@ rows, checkpoints, failure counts and log lines."""
 import hashlib
 import io
 import os
+import re
+import signal
 from pathlib import Path
 
 import pytest
 
 import digitpow as dp
 import digitpow.sweep
-from digitpow.shards import ROW_BASE, plan_shards
+from digitpow.cli import main
+from digitpow.shards import ROW_BASE, Forked, plan_shards
 
 JOBS = (1, 2, 3)
 
@@ -125,7 +128,7 @@ def test_child_error_is_raised_in_parent(tmp_path, monkeypatch, jobs):
     with pytest.raises(dp.CheckpointError, match="injected at n=390"):
         run({"max_n": 400, "checkpoint_every": 50}, jobs, ckdir=tmp_path)
     assert_no_children()
-    # no staging directory is left behind
+    # nothing but checkpoint files is left behind
     assert all(p.name.startswith("ckpt-n") for p in tmp_path.iterdir())
 
 
@@ -135,6 +138,73 @@ def test_parent_error_stops_running_children(monkeypatch):
     with pytest.raises(dp.CheckpointError, match="injected at n=1"):
         run({"max_n": 3000}, 3)
     assert_no_children()
+
+
+def test_dead_shard_exits_2_in_one_line(monkeypatch, capsys):
+    # a child killed mid-band sends no result: the run ends as an OS
+    # error does, with exit 2 and one line that names the child
+    real = digitpow.sweep.is_doubled
+    parent = os.getpid()
+
+    def certify(old, new):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(old, new)
+
+    monkeypatch.setattr(digitpow.sweep, "is_doubled", certify)
+    assert main(["verify", "--max-n", "400", "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert re.fullmatch(
+        r"digitpow verify: error: sweep shard process \d+ was killed by "
+        r"signal 9 with no result\n", err
+    )
+    assert_no_children()
+
+
+class _Unreadable:
+    def __reduce__(self):
+        return _refuse, ()
+
+
+def _refuse():
+    raise ValueError("not to be read back")
+
+
+def test_unreadable_shard_result_is_a_child_process_error():
+    with pytest.raises(ChildProcessError, match=r"exited with code 0 with an unreadable result"):
+        Forked(_Unreadable).result()
+    assert_no_children()
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_checkpoints_saved_by_parent_after_their_rows(tmp_path, monkeypatch, jobs):
+    # a child band hands back the states due a checkpoint; the parent
+    # saves each, in n order, once row n is in `out`
+    every, max_n = 50, 400
+    assert all(-(-lo // every) * every <= hi for lo, hi in plan_shards(1, max_n, jobs)[1:])
+    buf = io.StringIO()
+    saves = tmp_path / "saves.txt"
+    real = digitpow.sweep.save_checkpoint
+
+    def spy(state, path):
+        # appended to a file, so that a save made in a child shows too
+        row_out = f"\n{state.n}," in buf.getvalue()
+        with open(saves, "a") as fh:
+            fh.write(f"{os.getpid()} {state.n} {int(row_out)}\n")
+        return real(state, path)
+
+    monkeypatch.setattr(digitpow.sweep, "save_checkpoint", spy)
+    ckdir = tmp_path / "ck"
+    summary, _ = dp.run_sweep(
+        dp.SweepConfig(max_n=max_n, checkpoint_dir=ckdir, checkpoint_every=every,
+                       checkpoint_seconds=1e9, jobs=jobs),
+        out=buf,
+    )
+    assert summary.ok and summary.jobs == jobs
+    grid = range(every, max_n + 1, every)
+    assert saves.read_text().split("\n")[:-1] == [f"{os.getpid()} {n} 1" for n in grid]
+    assert sorted(p.name for p in ckdir.iterdir()) == [f"ckpt-n{n:012d}.txt" for n in grid]
 
 
 @pytest.mark.parametrize("lo,hi,jobs", [
@@ -181,12 +251,10 @@ def test_plan_shards_balances_stats_cost():
 
 def test_sweep_rejects_zero_jobs():
     with pytest.raises(ValueError, match="jobs"):
-        dp.run_sweep(dp.SweepConfig(max_n=10, jobs=0))
+        dp.run_sweep(dp.SweepConfig(max_n=10, jobs=0), out=io.StringIO())
 
 
 def test_cli_jobs_on_every_sweep(capsys):
-    from digitpow.cli import main
-
     for command in (["verify", "--max-n", "300"], ["stats", "--range", "120:300"]):
         outputs = []
         for jobs in ("1", "3"):
