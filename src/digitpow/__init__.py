@@ -29,7 +29,7 @@ from .power import (
     save_checkpoint,
     validate_multiplier,
 )
-from .ratios import conjecture_constant, render_fraction
+from .ratios import render_fraction
 from .sweep import SweepConfig, SweepSummary, VerificationRecord, run_sweep
 
 __version__ = "0.1.0"

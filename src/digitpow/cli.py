@@ -19,7 +19,7 @@ from .checks import PositionTable, check_positions
 from .intlog import BOUND_TABLE_MAX_K, bound_table, floor_log2_pow10
 from .oeis import BFileFormatError, cross_check, parse_bfile
 from .power import CheckpointError, PowerState
-from .ratios import conjecture_constant
+from .ratios import CONJECTURE_CONSTANT
 from .shards import default_jobs
 from .sweep import SweepConfig, run_sweep
 
@@ -85,7 +85,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     with _open_out(args.out) as fh:
         summary, _ = run_sweep(cfg, out=fh, fmt=args.format, log=_log)
     _log("stats: " + summary.describe())
-    _log(f"stats: reference constant (9/2)*log10(2) = {conjecture_constant(10)}")
+    _log(f"stats: reference constant (9/2)*log10(2) = {CONJECTURE_CONSTANT}")
     return 0 if summary.ok else 1
 
 

@@ -8,10 +8,11 @@ byte-stable across platforms.
 
 from __future__ import annotations
 
-import decimal
 from fractions import Fraction
 
-CONSTANT_MAX_PRECISION = 50
+# (9/2) * log10(2), the conjectured limit of s(2**n) / n, to 10 places,
+# round-half-even (tests/oracles.py computes it afresh)
+CONJECTURE_CONSTANT = "1.3546349805"
 
 
 def render_fraction(value: Fraction, places: int) -> str:
@@ -39,32 +40,3 @@ def render_scaled(q: int, places: int) -> str:
         return str(q)
     digits = str(q).rjust(places + 1, "0")
     return f"{digits[:-places]}.{digits[-places:]}"
-
-
-def conjecture_constant(precision_digits: int) -> str:
-    """(9/2) * log10(2) to the requested number of fractional digits.
-
-    Computed with the decimal module at guarded working precision,
-    rounded half-even; the guard is doubled until the rounded result is
-    stable (the constant is irrational, so this terminates).
-    """
-    if not 0 <= precision_digits <= CONSTANT_MAX_PRECISION:
-        raise ValueError(
-            f"precision must be in 0..{CONSTANT_MAX_PRECISION}, got {precision_digits}"
-        )
-    guard = 15
-    prev = None
-    while True:
-        with decimal.localcontext() as ctx:
-            ctx.prec = precision_digits + guard
-            value = (
-                decimal.Decimal(9)
-                / decimal.Decimal(2)
-                * (decimal.Decimal(2).ln() / decimal.Decimal(10).ln())
-            )
-            quantum = decimal.Decimal(1).scaleb(-precision_digits)
-            rounded = value.quantize(quantum, rounding=decimal.ROUND_HALF_EVEN)
-        if prev is not None and rounded == prev:
-            return str(rounded)
-        prev = rounded
-        guard *= 2

@@ -18,6 +18,10 @@ them.  The package starts no threads; the only other ones are the
 worker threads of numpy's BLAS, which no sweep calls.  Only the result
 travels back, pickled, through a pipe: for a sweep band, its rows, its
 tally and copies of the states due a checkpoint, which the parent saves.
+
+The parent polls its children every POLL_ROWS rows of its own band
+(Forked.poll), so a child killed by a signal stops the sweep at once,
+not when the parent asks for its result after that band.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ CAN_FORK = hasattr(os, "fork")
 # fitted to the band times of sharded n = 1..100000 verify and stats
 # sweeps on a shared 2-vCPU Xeon
 ROW_BASE = 70_000
+# rows of the parent's band between polls of its children
+POLL_ROWS = 64
 
 
 def default_jobs() -> int:
@@ -72,14 +78,21 @@ def plan_shards(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
     return [(c + 1, d) for c, d in zip(cuts, cuts[1:])]
 
 
+def _ended(pid: int, code: int, what: str) -> ChildProcessError:
+    """Shard `pid` ended with exit code `code` (-signal if killed)."""
+    how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+    return ChildProcessError(f"sweep shard process {pid} {how} with {what}")
+
+
 class Forked:
     """`work()` running in a forked child.
 
     `result()` waits for it, reaps the child and returns what `work`
     returned or raises what it raised, or ChildProcessError, naming how
-    the child ended, when it sent back no readable result.  `stop()`
-    kills and reaps a child whose result was not taken, so none
-    outlives its caller.
+    the child ended, when it sent back no readable result.  `poll()`
+    raises that error early, without waiting, for a child that a signal
+    killed.  `stop()` kills and reaps a child whose result was not
+    taken, so none outlives its caller.
     """
 
     def __init__(self, work: Callable[[], object]):
@@ -112,13 +125,19 @@ class Forked:
         try:
             ok, value = pickle.loads(payload)  # written by the child forked above
         except Exception as exc:
-            code = os.waitstatus_to_exitcode(status)
-            how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
             what = "an unreadable result" if payload else "no result"
-            raise ChildProcessError(f"sweep shard process {pid} {how} with {what}") from exc
+            raise _ended(pid, os.waitstatus_to_exitcode(status), what) from exc
         if not ok:
             raise value
         return value
+
+    def poll(self) -> None:
+        """Raise ChildProcessError, as result() would, if a signal killed
+        the child.  Reaps nothing: a child that exited (always with 0)
+        may still hold an unread result."""
+        info = os.waitid(os.P_PID, self.pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+        if info is not None and info.si_code != os.CLD_EXITED:
+            raise _ended(self.pid, -info.si_status, "no result")
 
     def stop(self) -> None:
         if self.pid is None:

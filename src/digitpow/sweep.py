@@ -40,7 +40,8 @@ contiguous bands of equal cost (shards.plan_shards), and once the start
 state is loaded and verified the process forks one child per band but
 the first.  Each child walks its copy of the start state to its own
 band and checks it into a buffer; the parent checks the first band,
-streaming it to `out`, then writes each child's text in n order and
+streaming it to `out` and polling its children every POLL_ROWS rows,
+then writes each child's text in n order and
 merges its failure counts, records, failure lines and log lines.  A
 row of a sound chain passes its split check from any band start, and
 every running_mean comes from its own window.  So the output bytes of
@@ -82,7 +83,7 @@ from .checks import PositionTable, check_positions
 from .intlog import digit_count_range, digit_sum_exceeds_log4, floor_log2_pow10
 from .power import PowerState, load_checkpoint, save_checkpoint
 from .ratios import render_fraction, render_quotient, render_scaled
-from .shards import CAN_FORK, Forked, default_jobs, plan_shards
+from .shards import CAN_FORK, POLL_ROWS, Forked, default_jobs, plan_shards
 
 CSV_HEADER = "n,s,digit_count,ratio,running_mean,theorem_ok,lemma2_ok,gap_ok,fourpow_ok"
 RATIO_PLACES = 10
@@ -386,10 +387,12 @@ def run_sweep(
         save_checkpoint(s, ckpt_dir / f"ckpt-n{s.n:012d}.txt")
 
     def check_band(
-        band: tuple[int, int], out: IO[str], tally: _Tally, save: Callable[[PowerState], None]
+        band: tuple[int, int], out: IO[str], tally: _Tally,
+        save: Callable[[PowerState], None], poll: Callable[[], None] | None = None,
     ) -> None:
         """Check rows band[0]..band[1], walking `state` there from
-        wherever it stands; hands each state due a checkpoint to save."""
+        wherever it stands; hands each state due a checkpoint to save,
+        and calls poll, if given, every POLL_ROWS rows."""
         band_lo, band_hi = band
         window = _RatioWindow(cfg.window)
         saved_n = None
@@ -412,6 +415,8 @@ def run_sweep(
             prev = state.value.limbs.copy() if splits and state.is_exact() else None
             text: list[str] = []  # rows not yet written
             for n in range(band_lo, band_hi + 1):
+                if poll is not None and (n - band_lo) % POLL_ROWS == 0:
+                    poll()
                 state.step()
                 rec = row_checks(n, state.value)
                 due = ckpt_dir is not None and (
@@ -446,13 +451,17 @@ def run_sweep(
         check_band(band, text, tally, keep)
         return text.getvalue(), tally, kept
 
+    def poll_children() -> None:
+        for child in children:
+            child.poll()
+
     tally = _Tally(collect, log)
     children: list[Forked] = []
     t0 = time.perf_counter()
     try:
         for band in bands[1:]:
             children.append(Forked(partial(run_forked, band)))
-        check_band(bands[0], out, tally, save_to_dir)
+        check_band(bands[0], out, tally, save_to_dir, poll_children if children else None)
         for child in children:
             text, later, kept = child.result()
             tally.merge(later)

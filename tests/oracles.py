@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from typing import NamedTuple
 
 import numpy as np
@@ -46,6 +47,22 @@ def school_double(s: str) -> str:
     return school_mul_small(s, 2)
 
 
+def conjecture_constant(places: int) -> str:
+    """(9/2) * log10(2), the conjectured limit of s(2**n) / n, rounded
+    half-even to `places` fractional digits by the decimal module, with
+    guard digits doubled until the result is stable (the constant is
+    irrational, so that ends)."""
+    guard, prev = 15, None
+    while True:
+        with localcontext() as ctx:
+            ctx.prec = places + guard
+            value = Decimal(9) / 2 * (Decimal(2).ln() / Decimal(10).ln())
+            rounded = value.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_EVEN)
+        if rounded == prev:
+            return str(rounded)
+        prev, guard = rounded, 2 * guard
+
+
 def bfile_text(values: dict[int, int]) -> str:
     """Render an index -> value map in b-file format."""
     lines = [f"{n} {values[n]}" for n in sorted(values)]
@@ -61,9 +78,10 @@ def checkpoint_text(multiplier: int, n: int, value: str) -> str:
 
 
 def swap_adjacent_digits(value: str) -> str:
-    """Swap the first two adjacent unequal digits; the digit sum, and so
-    the value mod 9, stays the same."""
-    i = next(i for i in range(len(value) - 1) if value[i] != value[i + 1])
+    """Swap the first two adjacent unequal digits below the top one; the
+    digit sum, and so the value mod 9, stays the same, and no leading
+    zero appears."""
+    i = next(i for i in range(1, len(value) - 1) if value[i] != value[i + 1])
     return value[:i] + value[i + 1] + value[i] + value[i + 2:]
 
 

@@ -17,7 +17,7 @@ import pytest
 import digitpow as dp
 from digitpow.cli import main
 from digitpow.sweep import CSV_HEADER
-from oracles import bfile_text, oracle_digit_sum
+from oracles import bfile_text, conjecture_constant, oracle_digit_sum
 
 FULL_SWEEP_MAX_N = 100_000
 # sha256 of the n <= 100000 CSV, the same from one process, sharded and
@@ -136,7 +136,7 @@ def test_conjecture_desk_band(sweep_100k, capsys):
     center = Fraction("1.35463")
     tol = Fraction("0.05")
     assert abs(mean - center) <= tol, f"mean {float(mean):.6f} outside band"
-    assert dp.conjecture_constant(5) == "1.35463"
+    assert conjecture_constant(5) == "1.35463"
     with capsys.disabled():
         print(f"\n[PASS] conjecture desk band: mean s(2^n)/n over "
               f"[9000,10000] = {dp.render_fraction(mean, 6)}, within "

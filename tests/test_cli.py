@@ -12,7 +12,6 @@ import digitpow.bignum
 import digitpow.power
 import digitpow.sweep
 from digitpow.cli import main
-from digitpow.shards import plan_shards
 from digitpow.sweep import CSV_HEADER
 from oracles import (
     bfile_text,
@@ -21,8 +20,8 @@ from oracles import (
     four_power_bound_check,
     gap_inequality_check,
     oracle_digit_sum,
-    swap_adjacent_digits,
 )
+from test_faults import DROPPED_CARRY_ROWS, drop_carry, inject, load_start
 
 
 def run_csv(cfg: dp.SweepConfig) -> tuple[dp.SweepSummary, list[str]]:
@@ -180,51 +179,10 @@ def test_sweep_resume_matches_fresh(tmp_path):
     assert resumed_rows[1:] == fresh_rows[31:]
 
 
-def resume_from(monkeypatch, n: int, value: int, multiplier: int = 2) -> None:
-    # hand the sweep a start state the checkpoint loader would reject,
-    # built afresh per load because the sweep steps it in place
-    monkeypatch.setattr(
-        digitpow.sweep, "load_checkpoint",
-        lambda path: dp.PowerState(n, dp.from_decimal_string(str(value)), multiplier),
-    )
-
-
-def test_sweep_resume_detects_tampered_chain(tmp_path, monkeypatch):
-    # mod-9-consistent wrong value: the loader's exact check rejects it
-    tampered = dp.PowerState(10, dp.from_small(1033), 2)
-    ckpt = dp.save_checkpoint(tampered, tmp_path / "ck.txt")
-    with pytest.raises(dp.CheckpointError):
-        dp.run_sweep(dp.SweepConfig(max_n=12, start_checkpoint=ckpt), out=io.StringIO())
-    # past the loader, the split checks still catch it downstream
-    resume_from(monkeypatch, 10, 1033)
-    summary, records = dp.run_sweep(
-        dp.SweepConfig(max_n=12, start_checkpoint=ckpt), out=io.StringIO(), collect=True
-    )
-    assert not summary.ok
-    assert "lemma2_ok" in summary.check_failures
-    assert any(rec.lemma2_ok is False for rec in records)
-
-
-@pytest.mark.parametrize("multiplier,jobs", [(2, 1), (2, 3), (7, 1), (7, 3)])
-def test_sweep_mod9_fails_on_every_row_of_a_wrong_chain(tmp_path, monkeypatch, multiplier, jobs):
-    # 2 * a**n is never a**n mod 9 when a is prime to 3: the residue each
-    # row is compared with comes from n, in every band and after every
-    # walk, so each row's value fails it
-    resume_from(monkeypatch, 30, 2 * multiplier**30, multiplier)
-    summary, records = dp.run_sweep(
-        dp.SweepConfig(max_n=130, window=5, emit_range=(41, 130), split_checks="off",
-                       start_checkpoint=tmp_path / "unread.txt", jobs=jobs),
-        out=io.StringIO(), collect=True,
-    )
-    assert summary.jobs == jobs and len(records) == 90
-    assert summary.check_failures["mod9_ok"] == 90
-    assert all(rec.mod9_ok is False for rec in records)
-
-
 @pytest.mark.parametrize("n,max_n", [(0, 1), (10, 11)])
 def test_sweep_resume_with_an_extra_digit(tmp_path, monkeypatch, n, max_n):
     # 10 * 2**n: one digit more than the floor table sized from max_n covers
-    resume_from(monkeypatch, n, 10 * 2**n)
+    load_start(monkeypatch, n, 10 * 2**n)
     summary, records = dp.run_sweep(
         dp.SweepConfig(max_n=max_n, start_checkpoint=tmp_path / "unread.txt"),
         out=io.StringIO(), collect=True
@@ -349,44 +307,6 @@ def fail_lines(err: str) -> list[str]:
     return [line for line in err.splitlines() if line.startswith("FAIL")]
 
 
-# rows of verify --max-n 130 whose step carries out of limb 0 and not
-# out of the top limb: 114 opens the write batch 114..129, 101 sits
-# inside 98..113, and 97 closes 82..97
-DROPPED_CARRY_ROWS = [114, 101, 97]
-
-
-def drop_carry_at(monkeypatch, n: int) -> None:
-    """The step to 2**n drops its lowest carry, out of limb 0, so the
-    value loses 10**9."""
-    real = digitpow.power.double_in_place
-    steps = []
-
-    def mutant(x):
-        steps.append(None)
-        if len(steps) != n:
-            return real(x)
-        t = x.limbs + x.limbs
-        carry = t >= dp.LIMB_BASE
-        t -= carry * dp.LIMB_BASE
-        assert carry[0] and not carry[-1]
-        t[2:] += carry[1:-1]  # carry[0] dropped
-        x.limbs = t
-        return x
-
-    monkeypatch.setattr(digitpow.power, "double_in_place", mutant)
-
-
-@pytest.mark.parametrize("n", DROPPED_CARRY_ROWS)
-def test_verify_catches_a_dropped_carry(tmp_path, capsys, monkeypatch, n):
-    # the link into row n fails its certificate; the rows below keep
-    # their verdicts, and no row from n on is proven to hold 2**n
-    drop_carry_at(monkeypatch, n)
-    argv = ["verify", "--max-n", "130", "--jobs", "1", "--out", str(tmp_path / "rows.csv")]
-    assert main(argv) == 1
-    lines = fail_lines(capsys.readouterr().err)
-    assert lines[0].startswith(f"FAIL n={n}: failed lemma2_ok,")
-
-
 # row 1500 has 51 limbs, and its position checks expand limbs 0..9:
 # limbs 0 and 1 are expanded, 20 and 45 are not
 @pytest.mark.parametrize("limb", [0, 1, 20, 45])
@@ -431,7 +351,7 @@ def test_verify_catches_a_limb_that_doubles_past_int32(tmp_path, capsys, monkeyp
 def test_a_sweep_logs_at_most_max_logged_failures(tmp_path, capsys, monkeypatch):
     # a carry dropped at n = 1000 fails every row after it, and the
     # sweep logs only the first lines
-    drop_carry_at(monkeypatch, 1000)
+    inject(monkeypatch, 2, 1000, drop_carry(2))
     argv = ["verify", "--max-n", "20000", "--jobs", "1", "--out", str(tmp_path / "rows.csv")]
     assert main(argv) == 1
     lines = fail_lines(capsys.readouterr().err)
@@ -505,7 +425,10 @@ def test_a_dropped_carry_costs_one_more_conversion(tmp_path, capsys, monkeypatch
     # the run's one conversion is the band's start proof: the rows from
     # the broken link into row n on fail without a conversion of their own
     conversions = count_conversions(tmp_path, monkeypatch)
-    test_verify_catches_a_dropped_carry(tmp_path, capsys, monkeypatch, n)
+    inject(monkeypatch, 2, n, drop_carry(2))
+    argv = ["verify", "--max-n", "130", "--jobs", "1", "--out", str(tmp_path / "rows.csv")]
+    assert main(argv) == 1
+    assert fail_lines(capsys.readouterr().err)[0] == f"FAIL n={n}: failed lemma2_ok,mod9_ok"
     assert conversions() == "p"
 
 
@@ -533,62 +456,6 @@ def test_verify_catches_a_row_changed_after_its_step(tmp_path, capsys, monkeypat
     lines = fail_lines(capsys.readouterr().err)
     assert lines[0].startswith(f"FAIL n={n + 1}: failed lemma2_ok,")
     assert conversions() == "p"
-
-
-def swap_top_digits(x) -> None:
-    """Swaps the top two digits of x in place; they must differ."""
-    s = dp.to_decimal_string(x)
-    assert s[0] != s[1]
-    x.limbs = dp.from_decimal_string(s[1] + s[0] + s[2:]).limbs
-
-
-@pytest.mark.parametrize("n", [1500, 1511])
-def test_verify_catches_swapped_top_digits_of_the_last_row(tmp_path, capsys, monkeypatch, n):
-    # the step to the last row swaps its top two digits: 2**1500 =
-    # 35... turns into 53..., 2**1511 = 71... into 17...  The digit sum,
-    # the digit count and the low digits stay, so only the certificate
-    # of the link into row n sees it
-    real = digitpow.power.double_in_place
-    steps = []
-
-    def mutant(x):
-        real(x)
-        steps.append(None)
-        if len(steps) == n:
-            swap_top_digits(x)
-        return x
-
-    monkeypatch.setattr(digitpow.power, "double_in_place", mutant)
-    argv = ["verify", "--max-n", str(n), "--jobs", "1", "--out", str(tmp_path / "rows.csv")]
-    assert main(argv) == 1
-    assert fail_lines(capsys.readouterr().err) == [f"FAIL n={n}: failed lemma2_ok"]
-
-
-def test_verify_catches_a_corrupt_walk_into_a_child_band(tmp_path, capsys, monkeypatch):
-    # the child band's walk to its start multiplies by 2**29 per step,
-    # and its last multiplication swaps the top two digits of the
-    # product.  The band's start state is then not 2**n, so its first
-    # row fails lemma2_ok, and so does every row of the band
-    max_n = 2364
-    (_, parent_hi), (lo, hi) = plan_shards(1, max_n, 2)
-    walks = (lo - 1) // 29  # multiplications by 2**29 on the way to lo - 1
-    real = digitpow.power.mul_small
-    calls = []
-
-    def mutant(x, c):
-        y = real(x, c)
-        calls.append(c)
-        if len(calls) == walks:
-            swap_top_digits(y)
-        return y
-
-    monkeypatch.setattr(digitpow.power, "mul_small", mutant)
-    out = tmp_path / "rows.csv"
-    assert main(["verify", "--max-n", str(max_n), "--jobs", "2", "--out", str(out)]) == 1
-    lines = fail_lines(capsys.readouterr().err)
-    assert lines[0].startswith(f"FAIL n={lo}: failed lemma2_ok")
-    lemma2 = [row.split(",")[6] for row in out.read_text().splitlines()[1:]]
-    assert lemma2 == ["1"] * parent_hi + ["0"] * (hi - lo + 1)
 
 
 def test_sweep_checkpoint_cadence(tmp_path):
@@ -700,36 +567,9 @@ def test_cli_verify_rejects_power_of_ten(capsys):
     assert "power of ten" in capsys.readouterr().err
 
 
-def test_cli_verify_resume_failure_exit(tmp_path, capsys, monkeypatch):
-    tampered = dp.PowerState(10, dp.from_small(1033), 2)
-    ckpt = dp.save_checkpoint(tampered, tmp_path / "ck.txt")
-    out = tmp_path / "rows.csv"
-    argv = ["verify", "--max-n", "12", "--start-checkpoint", str(ckpt), "--out", str(out)]
-    assert main(argv) == 2
-    assert "is not 2**10" in capsys.readouterr().err
-    # a failing row, not a bad checkpoint, exits 1
-    resume_from(monkeypatch, 10, 1033)
-    assert main(argv) == 1
-    assert "FAIL" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("window", ["1", "100"])
-def test_cli_stats_rejects_forged_checkpoint(tmp_path, capsys, window):
-    # two digits of 2**200 swapped, digest recomputed: same value mod 9
-    path = tmp_path / "ck.txt"
-    path.write_text(checkpoint_text(2, 200, swap_adjacent_digits(str(2**200))))
-    code = main([
-        "stats", "--start-checkpoint", str(path), "--range", "201:203",
-        "--window", window,
-    ])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("digitpow stats: error:") and "2**200" in err
-
-
 def test_cli_stats_step_back_failure(capsys, monkeypatch):
     # warming the window steps back from 9 at n=3, which 2 does not divide
-    resume_from(monkeypatch, 3, 9)
+    load_start(monkeypatch, 3, 9)
     code = main([
         "stats", "--start-checkpoint", "ck.txt", "--range", "4:5", "--window", "100",
     ])

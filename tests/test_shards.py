@@ -4,8 +4,6 @@ rows, checkpoints, failure counts and log lines."""
 import hashlib
 import io
 import os
-import re
-import signal
 from pathlib import Path
 
 import pytest
@@ -14,6 +12,7 @@ import digitpow as dp
 import digitpow.sweep
 from digitpow.cli import main
 from digitpow.shards import ROW_BASE, Forked, plan_shards
+from test_faults import assert_no_children, inject, load_start
 
 JOBS = (1, 2, 3)
 
@@ -29,12 +28,6 @@ def run(cfg_args: dict, jobs: int, fmt: str = "csv", ckdir: Path | None = None):
 
 def checkpoint_files(ckdir: Path) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in ckdir.iterdir()}
-
-
-def assert_no_children() -> None:
-    # every forked shard has been reaped: waitpid finds no child at all
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def assert_jobs_agree(tmp_path, cfg_args: dict, fmt: str) -> dict[str, str]:
@@ -89,12 +82,9 @@ def test_sharded_tampered_start_reports_as_one_process(monkeypatch):
     # later row has one digit too many and a zero low digit, so it fails
     # four checks, its split bound among them; the 20 failure lines end
     # at n = 30, past the first shard
+    load_start(monkeypatch, 10, 10 * 2**10)
     reports = []
     for jobs in JOBS:
-        monkeypatch.setattr(
-            digitpow.sweep, "load_checkpoint",
-            lambda path: dp.PowerState(10, dp.from_small(10 * 2**10), 2),
-        )
         text, summary, records, logs = run({"max_n": 36, "start_checkpoint": "unread"}, jobs)
         assert summary.jobs == jobs
         reports.append((text, list(summary.check_failures.items()),
@@ -109,15 +99,11 @@ def test_sharded_tampered_start_reports_as_one_process(monkeypatch):
 
 
 def fail_at(monkeypatch, bad_n: int) -> None:
-    # the doubling certificate of the row that holds 2**bad_n raises
-    real = digitpow.sweep.is_doubled
+    # the step to 2**bad_n raises
+    def fault(digits):
+        raise dp.CheckpointError(f"injected at n={bad_n}")
 
-    def certify(old, new):
-        if dp.to_decimal_string(dp.DecimalNat(new)) == str(2**bad_n):
-            raise dp.CheckpointError(f"injected at n={bad_n}")
-        return real(old, new)
-
-    monkeypatch.setattr(digitpow.sweep, "is_doubled", certify)
+    inject(monkeypatch, 2, bad_n, fault)
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
@@ -137,28 +123,6 @@ def test_parent_error_stops_running_children(monkeypatch):
     fail_at(monkeypatch, 1)
     with pytest.raises(dp.CheckpointError, match="injected at n=1"):
         run({"max_n": 3000}, 3)
-    assert_no_children()
-
-
-def test_dead_shard_exits_2_in_one_line(monkeypatch, capsys):
-    # a child killed mid-band sends no result: the run ends as an OS
-    # error does, with exit 2 and one line that names the child
-    real = digitpow.sweep.is_doubled
-    parent = os.getpid()
-
-    def certify(old, new):
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return real(old, new)
-
-    monkeypatch.setattr(digitpow.sweep, "is_doubled", certify)
-    assert main(["verify", "--max-n", "400", "--jobs", "2"]) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert re.fullmatch(
-        r"digitpow verify: error: sweep shard process \d+ was killed by "
-        r"signal 9 with no result\n", err
-    )
     assert_no_children()
 
 
