@@ -34,8 +34,9 @@ from oracles import checkpoint_text, swap_adjacent_digits
 N0 = 150  # where resumed cells start
 MAX_N = 400
 SHARD_MAX_N = 6000  # the parent's band takes over 0.1 s: it can stop early
-# verify, a = 2, jobs 1, fresh: rows whose step carries out of limb 0; 114
-# opens the write batch 114..129, 101 sits inside 98..113, 97 closes 82..97
+# verify, a = 2, jobs 1, fresh: one cell per row whose step carries out of
+# limb 0; 114 opens the write batch 114..129, 101 sits inside 98..113, 97
+# closes 82..97
 DROPPED_CARRY_ROWS = (114, 101, 97)
 B = dp.LIMB_BASE
 
@@ -95,6 +96,7 @@ class Cell:
     tmp_path: Path
     capsys: pytest.CaptureFixture
     max_n: int = MAX_N
+    row: int | None = None  # the bad row, where the cell names one
 
     @property
     def bands(self) -> list[tuple[int, int]]:
@@ -123,14 +125,10 @@ class Cell:
 
 
 def carry(cell: Cell, monkeypatch) -> None:
-    first = (cell.mode, cell.a, cell.jobs, cell.resumed) == ("verify", 2, 1, False)
-    ns = DROPPED_CARRY_ROWS if first else (
-        next(n for n in itertools.count(300) if cell.a ** (n - 1) % B * cell.a >= B),)
-    for n in ns:
-        assert n >= cell.bands[-1][0]
-        with monkeypatch.context() as m:
-            inject(m, cell.a, n, drop_carry(cell.a))
-            cell.fails_first_at(n)
+    n = cell.row or next(n for n in itertools.count(300) if cell.a ** (n - 1) % B * cell.a >= B)
+    assert n >= cell.bands[-1][0]
+    inject(monkeypatch, cell.a, n, drop_carry(cell.a))
+    cell.fails_first_at(n)
 
 
 def swap_digits(cell: Cell, monkeypatch) -> None:
@@ -190,9 +188,12 @@ TABLE = {  # fault: the cells (mode, a, jobs, start) it runs in
 }
 
 
-@pytest.mark.parametrize("fault,mode,a,jobs,begin", [
-    pytest.param(fault, *cell, id=f"{fault.__name__}-{cell[0]}-a{cell[1]}-jobs{cell[2]}-{cell[3]}")
+@pytest.mark.parametrize("fault,mode,a,jobs,begin,row", [
+    pytest.param(fault, *cell, row, id=f"{fault.__name__}-{cell[0]}-a{cell[1]}-jobs{cell[2]}-"
+                 f"{cell[3]}" + (f"-n{row}" if row else ""))
     for fault, cells in TABLE.items() for cell in cells
+    for row in (DROPPED_CARRY_ROWS if (fault, *cell) == (carry, "verify", 2, 1, "fresh")
+                else (None,))
 ])
-def test_fault(tmp_path, capsys, monkeypatch, fault, mode, a, jobs, begin):
-    fault(Cell(mode, a, jobs, begin == "resumed", tmp_path, capsys), monkeypatch)
+def test_fault(tmp_path, capsys, monkeypatch, fault, mode, a, jobs, begin, row):
+    fault(Cell(mode, a, jobs, begin == "resumed", tmp_path, capsys, row=row), monkeypatch)
