@@ -18,7 +18,6 @@ from .bignum import (
 from .intlog import (
     bound_table,
     digit_sum_exceeds_log4,
-    exact_floor_log2_pow10,
     floor_log2_pow10,
 )
 from .oeis import BFileFormatError, CrossCheckReport, OeisSeries, cross_check, parse_bfile

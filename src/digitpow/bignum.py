@@ -48,7 +48,8 @@ _CHUNK_TALLY = (
 # the sum of its two entries stays in int32, and a value's packed total,
 # summed in int64, stays exact while its nonzero count, at most 9 per
 # limb, fits 24 bits: up to (2**24 - 1) // 9 = 1864135 limbs, about
-# 1.68e7 digits, four times sweep.FLOOR_TABLE_CAP
+# 1.68e7 digits, below B_15 = 25731874, where checks.check_positions
+# stops
 _CHUNK5_TALLY = (_CHUNK_TALLY[:100, None] + _CHUNK_TALLY[None, :]).ravel()
 _TALLY_MAX_LIMBS = (2**24 - 1) // 9
 # per 3-digit chunk c, the positions of its nonzero digits, lowest first,

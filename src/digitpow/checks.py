@@ -17,16 +17,16 @@ Python ints (tests/oracles.py).
 The position checks read the value's base-10**9 limbs and expand the
 digits of only a few of them, without losing exactness:
 
-* Consecutive-position bound.  With gap[x] = floor(x * log2(10)),
-  gap[p + 1] >= p + 17 for every p >= 6: the integer gap[p + 1] - p
-  exceeds (log2(10) - 1) * (p + 1) >= 16.25 (it is exactly 17 at p = 6,
-  and 14 at p = 5).  Two consecutive nonzero digits that span no all-zero
-  limb sit in the same limb or in adjacent ones, so they are at most 17
-  apart, and the pair can fail only if its lower digit is below 6, in
-  limb 0.  So the pairs whose lower digit lies in limb 0, plus one pair
-  across each maximal run of zero limbs (the top nonzero digit below
-  the run and the bottom nonzero digit above it), decide the check for
-  every pair.
+* Consecutive-position bound.  With g(x) = floor(x * log2(10)) =
+  intlog.floor_log2_pow10(x), g(p + 1) >= p + 17 for every p >= 6: the
+  integer g(p + 1) - p exceeds (log2(10) - 1) * (p + 1) >= 16.25 (it is
+  exactly 17 at p = 6, and 14 at p = 5).  Two consecutive nonzero digits
+  that span no all-zero limb sit in the same limb or in adjacent ones,
+  so they are at most 17 apart, and the pair can fail only if its lower
+  digit is below 6, in limb 0.  So the pairs whose lower digit lies in
+  limb 0, plus one pair across each maximal run of zero limbs (the top
+  nonzero digit below the run and the bottom nonzero digit above it),
+  decide the check for every pair.
 * The iterated bounds and e_k < 4**(k-1).  B_k >= 3**(k-1), and B_k <
   4**(k-1) because log2(10) < 4; once B_k passes the top position both
   hold for every later digit.  So only e_1..e_K count, K about
@@ -35,14 +35,18 @@ digits of only a few of them, without losing exactness:
   B_k implies e_k < 4**(k-1), so one loop decides both, reading
   4**(k-1) only where e_k > B_k.
 
-What depends only on the floor table is built once per table
-(PositionTable): the whole sequence B_k up to the table's end, which a
-row cuts at its top digit by bisection, the powers 4**(k-1) beside it,
-and the table's first 64 entries as Python ints, which are all that
-the pairs in limb 0 read.  A sweep builds it with its table and again
-whenever the table grows.  A row then expands the few limbs it needs
-three digits at a time, from a table of the nonzero positions of every
-3-digit chunk.
+What depends on no value is built once and shared by every row of a
+sweep, its forked bands included, and by decompose (PositionTable):
+B_1..B_15 from intlog.bound_table, which a row cuts at its top digit by
+bisection, the powers 4**(k-1) beside them, and g(0..63), all that the
+pairs in limb 0 read unless the lowest limbs hold few nonzero digits.
+Any other g(x) a row needs, for a pair higher up or across a run of
+zero limbs, is computed when it is read.  So check_positions refuses a
+value whose top digit sits at or past B_15 = 25731874, where B_16 would
+be needed; a sweep never gets there, since bignum.digit_tally refuses a
+value of more than 1864135 limbs first.  A row then expands the few
+limbs it needs three digits at a time, from a table of the nonzero
+positions of every 3-digit chunk.
 
 A row that holds 2**n meets the split bound at every k <= min(n,
 digit_count - 1), where the high part is positive: 2**k divides 10**k
@@ -66,6 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bignum import LIMB_DIGITS, digit_span, low_digit_positions
+from .intlog import BOUND_TABLE_MAX_K, bound_table, floor_log2_pow10
 
 
 class PositionChecks(NamedTuple):
@@ -74,51 +79,45 @@ class PositionChecks(NamedTuple):
     bound_ok: bool  # e_k <= B_k against the iterated bound table
 
 
-# gap[:_HEAD] is kept as a Python list: the first nine pairs read
-# gap[a + 1] at their lower digit a, below 63 unless the lowest seven
-# limbs hold fewer than nine nonzero digits; past it the array is read
+# the first nine pairs read g(a + 1) at their lower digit a, below 63
+# unless the lowest seven limbs hold fewer than nine nonzero digits;
+# past the head a pair computes its g(a + 1)
 _HEAD = 64
 
 
 class PositionTable:
-    """What check_positions reads of one floor table, built once per table.
+    """What check_positions reads that depends on no value.
 
-    gap is floor_log2_pow10(xmax).  bounds holds B_1 = 0, B_k =
-    gap[B_{k-1} + 1] for as long as the table reaches, so its last entry
-    is at least xmax; fours holds 4**(k-1) beside each; head holds
-    gap[:_HEAD] as Python ints.
+    bounds holds B_1..B_15, fours 4**(k-1) beside each, and head
+    floor_log2_pow10(x) for x < _HEAD as Python ints.
     """
 
-    __slots__ = ("gap", "bounds", "fours", "head")
+    __slots__ = ("bounds", "fours", "head")
 
-    def __init__(self, gap: np.ndarray):
-        bounds = [0]
-        while bounds[-1] + 1 < gap.size:
-            bounds.append(int(gap[bounds[-1] + 1]))
-        self.gap = gap
-        self.bounds = bounds
-        self.fours = tuple(4**k for k in range(len(bounds)))
-        self.head = gap[:_HEAD].tolist()
+    def __init__(self) -> None:
+        self.bounds = bound_table(BOUND_TABLE_MAX_K)
+        self.fours = tuple(4**k for k in range(len(self.bounds)))
+        self.head = [floor_log2_pow10(x) for x in range(_HEAD)]
 
 
 def check_positions(limbs: np.ndarray, table: PositionTable) -> PositionChecks:
     """Position checks on the nonzero digits of one value.
 
-    limbs are the value's canonical base-10**9 limbs, lowest first;
-    table is the PositionTable of a floor table that covers index
-    digit_count, which a caller checking many values builds once.  See
-    the module docstring for why the digits of a few limbs decide every
-    check.  A limb it expands that lies outside 0..10**9-1, which no
-    canonical value holds, fails all three.
+    limbs are the value's canonical base-10**9 limbs, lowest first, and
+    their top digit must sit below B_15; table is a PositionTable, which
+    a caller checking many values builds once.  See the module docstring
+    for why the digits of a few limbs decide every check.  A limb it
+    expands that lies outside 0..10**9-1, which no canonical value holds,
+    fails all three.
     """
     size = limbs.size
     count = np.count_nonzero(limbs)
     if count == 0:
         raise ValueError("no nonzero digits")
     last = LIMB_DIGITS * (size - 1) + len(str(int(limbs[-1]))) - 1
-    if last >= table.gap.size - 1:
-        raise ValueError(f"floor table of {table.gap.size} entries stops below {last + 2}")
     bounds = table.bounds
+    if last >= bounds[-1]:
+        raise ValueError(f"top digit position {last} is not below B_{len(bounds)} = {bounds[-1]}")
     # the walks read e_k for k up to the first B_k past last, and limb 0
     # holds at most nine digits, so the pairs whose lower digit lies
     # there are among the first nine pairs
@@ -143,14 +142,14 @@ def check_positions(limbs: np.ndarray, table: PositionTable) -> PositionChecks:
                 fourpow_ok = False
                 break
     gap_ok = True
-    head, gap = table.head, table.gap
+    head = table.head
     for a, b in zip(low, low[1 : LIMB_DIGITS + 1]):
-        if b > (head[a + 1] if a + 1 < _HEAD else gap[a + 1]):
+        if b > (head[a + 1] if a + 1 < _HEAD else floor_log2_pow10(a + 1)):
             gap_ok = False
             break
     if gap_ok and count < size and count < size - nz[0]:  # a zero limb between nonzero ones
         jump = np.flatnonzero(np.diff(nz) > 1)
         _, below = digit_span(limbs, nz[jump])
         above, _ = digit_span(limbs, nz[jump + 1])
-        gap_ok = bool(np.all(above <= gap[below + 1]))
+        gap_ok = all(a <= floor_log2_pow10(b + 1) for a, b in zip(above.tolist(), below.tolist()))
     return PositionChecks(gap_ok, fourpow_ok, bound_ok)

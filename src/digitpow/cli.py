@@ -16,7 +16,7 @@ from contextlib import contextmanager
 
 from .bignum import digit_count, digit_scan, digit_sum, digit_tally
 from .checks import PositionTable, check_positions
-from .intlog import BOUND_TABLE_MAX_K, bound_table, floor_log2_pow10
+from .intlog import BOUND_TABLE_MAX_K, bound_table
 from .oeis import BFileFormatError, cross_check, parse_bfile
 from .power import CheckpointError, PowerState
 from .ratios import CONJECTURE_CONSTANT
@@ -100,7 +100,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     dc = digit_count(state.value)
     pc = None
     if args.multiplier == 2:
-        pc = check_positions(state.value.limbs, PositionTable(floor_log2_pow10(dc)))
+        pc = check_positions(state.value.limbs, PositionTable())
     terms = digit_scan(state.value)
     if args.format == "json":
         obj = {

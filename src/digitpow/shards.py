@@ -13,9 +13,9 @@ bands balance near 60700 and stats' near 59200.
 
 `Forked` runs one piece of work in a child made by os.fork, not by a
 spawned interpreter: the child inherits the loaded and verified start
-state, the floor table and the caller's closures without pickling
-them.  The package starts no threads; the only other ones are the
-worker threads of numpy's BLAS, which no sweep calls.  Only the result
+state, the shared position table and the caller's closures without
+pickling them.  The package starts no threads; the only other ones are
+the worker threads of numpy's BLAS, which no sweep calls.  Only the result
 travels back, pickled, through a pipe: for a sweep band, its rows, its
 tally and copies of the states due a checkpoint, which the parent saves.
 

@@ -76,11 +76,9 @@ from operator import attrgetter
 from pathlib import Path
 from typing import IO, Callable
 
-import numpy as np
-
 from .bignum import BACKEND, DecimalNat, digit_count, digit_sum, digit_tally, is_doubled
 from .checks import PositionTable, check_positions
-from .intlog import digit_count_range, digit_sum_exceeds_log4, floor_log2_pow10
+from .intlog import digit_count_range, digit_sum_exceeds_log4
 from .power import PowerState, load_checkpoint, save_checkpoint
 from .ratios import render_fraction, render_quotient, render_scaled
 from .shards import CAN_FORK, POLL_ROWS, Forked, default_jobs, plan_shards
@@ -88,9 +86,6 @@ from .shards import CAN_FORK, POLL_ROWS, Forked, default_jobs, plan_shards
 CSV_HEADER = "n,s,digit_count,ratio,running_mean,theorem_ok,lemma2_ok,gap_ok,fourpow_ok"
 RATIO_PLACES = 10
 MAX_LOGGED_FAILURES = 20
-# largest floor(x * log2 10) array built up front (32 MiB, n up to about
-# 1.26e7); a sweep that gets past it rebuilds at twice its digit count
-FLOOR_TABLE_CAP = 2**22
 # split rows written together
 SPLIT_BATCH = 16
 
@@ -259,14 +254,14 @@ class _RowChecks:
     n of one band, in n order: called with n and multiplier**n, it
     returns the row's record with lemma2_ok still open.  It carries
     multiplier**n mod 9 from pow(multiplier, n, 9), so the mod 9 check
-    reads n, never the value.  gap, the floor table, is None unless
-    multiplier is 2.
+    reads n, never the value.  table, the sweep's shared PositionTable,
+    is None unless multiplier is 2.
     """
 
-    def __init__(self, multiplier: int, gap: np.ndarray | None, n: int):
+    def __init__(self, multiplier: int, table: PositionTable | None, n: int):
         self.multiplier = multiplier
         self.r9 = pow(multiplier, n, 9)  # a**n mod 9, from n alone
-        self.table = PositionTable(gap) if gap is not None else None
+        self.table = table
         self.dc, self.dc_lo, self.dc_hi = 0, 1, 0  # 2**n has dc digits for n in dc_lo..dc_hi
 
     def __call__(self, n: int, value: DecimalNat) -> VerificationRecord:
@@ -277,11 +272,9 @@ class _RowChecks:
         table = self.table
         if table is None:
             return VerificationRecord(n, s, dc, m, None, None, None, None, None, None, mod9_ok)
-        if dc >= table.gap.size:  # past the cap, or a corrupt value
-            self.table = table = PositionTable(floor_log2_pow10(2 * dc))
         if dc != self.dc:
             self.dc = dc
-            self.dc_lo, self.dc_hi = digit_count_range(dc, table.gap)
+            self.dc_lo, self.dc_hi = digit_count_range(dc)
         gap_ok, fourpow_ok, ekbound_ok = check_positions(value.limbs, table)
         return VerificationRecord(
             n, s, dc, m, digit_sum_exceeds_log4(n, s), None, gap_ok, fourpow_ok,
@@ -369,10 +362,9 @@ def run_sweep(
         raise ValueError(f"bad emit range {emit_lo}..{emit_hi} for max_n {cfg.max_n}")
     if fmt not in _ROW_TEXT:
         raise ValueError(f"unknown format {fmt!r}")
-    # floor(x * log2 10) up to index digit_count: 2**n has at most
-    # n // 3 + 1 digits, since log10 2 < 1/3
+    # built before the fork, so no child band certifies the bracket again
     is_two = state.multiplier == 2
-    gap = floor_log2_pow10(min(cfg.max_n // 3, FLOOR_TABLE_CAP) + 1) if is_two else None
+    table = PositionTable() if is_two else None
     splits = is_two and cfg.split_checks != "off"
     lo = max(emit_lo, start_n + 1)  # the first row emitted
     bands = plan_shards(lo, emit_hi, cfg.jobs if CAN_FORK else 1)
@@ -410,7 +402,7 @@ def run_sweep(
             for n in range(first, band_lo):
                 state.step()
                 window.push(n, digit_sum(state.value))
-            row_checks = _RowChecks(state.multiplier, gap, band_lo - 1)
+            row_checks = _RowChecks(state.multiplier, table, band_lo - 1)
             # a private copy of the row before, while it is proven 2**n
             prev = state.value.limbs.copy() if splits and state.is_exact() else None
             text: list[str] = []  # rows not yet written

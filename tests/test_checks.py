@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ positives = st.integers(min_value=1, max_value=10**45)
 def positions(v: int):
     """check_positions on v, set up as a sweep row sets it up."""
     x = dp.from_decimal_string(str(v))
-    return check_positions(x.limbs, PositionTable(dp.floor_log2_pow10(dp.digit_count(x))))
+    return check_positions(x.limbs, PositionTable())
 
 
 def test_decompose_examples():
@@ -207,11 +208,11 @@ def test_position_checks_match_oracles(v):
     assert result.bound_ok == iterated_bound_check(v)
 
 
-# one table for every value, as a sweep has it: larger than any value
-# needs, with B_k running past every value's top digit
-SHARED_TABLE = PositionTable(dp.floor_log2_pow10(5000))
-# lowest nonzero digits past gap's first 64 entries, which the table
-# holds as a Python list; gap[63] = 209, gap[71] = 235
+# one table for every value, as a sweep has it: a value's verdicts do not
+# depend on the values checked with the table before it
+SHARED_TABLE = PositionTable()
+# lowest nonzero digits past the table's head, floor(x * log2 10) for
+# x < 64, so their pairs compute it; it is 209 at x = 63 and 235 at 71
 HIGH_PAIRS = [10**70 + 10**75, 10**70 + 10**235, 10**70 + 10**236, 10**63 + 10**300,
               10**64 + 10**65 + 10**400, 10**62 + 10**209, 10**62 + 10**210,
               10**9 * (10**54 + 10**80)]
@@ -232,15 +233,22 @@ def test_position_checks_past_the_table_head(v):
     assert r.bound_ok == iterated_bound_check(v) is False
 
 
-def test_position_table_covers_the_value():
-    # a table must reach index digit_count
-    x = dp.from_decimal_string(str(2**100))
-    short = PositionTable(dp.floor_log2_pow10(dp.digit_count(x) - 1))
-    with pytest.raises(ValueError, match="floor table"):
-        check_positions(x.limbs, short)
-    table = PositionTable(dp.floor_log2_pow10(100))
-    assert table.bounds == [0, 3, 13, 46, 156]
-    assert table.fours == (1, 4, 16, 64, 256) and len(table.head) == 64
+def test_position_checks_refuse_a_value_past_the_last_bound():
+    # B_15 = 25731874 must lie past the top digit, so that every e_k
+    # past e_15 passes; a value reaching it is refused, not passed
+    table = PositionTable()
+    assert table.bounds[:5] == (0, 3, 13, 46, 156) and len(table.bounds) == 15
+    assert table.fours[:5] == (1, 4, 16, 64, 256) and len(table.fours) == 15
+    assert table.head == [(10**x).bit_length() - 1 for x in range(64)]
+    top = table.bounds[-1]
+    for last, ok in ((top - 1, True), (top, False), (top + 9, False)):
+        limbs = np.zeros(last // 9 + 1, dtype=np.int32)
+        limbs[0], limbs[-1] = 1, 10 ** (last % 9)
+        if ok:
+            assert tuple(check_positions(limbs, table)) == (False, False, False)
+        else:
+            with pytest.raises(ValueError, match="not below B_15 = 25731874"):
+                check_positions(limbs, table)
 
 
 def test_gap_check_across_zero_limbs():
@@ -271,7 +279,7 @@ def test_position_checks_fail_an_expanded_limb_out_of_range(limb, bad):
     # there fails every position check instead of reading past, or from
     # the end of, the chunk tables
     x = dp.from_decimal_string(str(2**200))
-    table = PositionTable(dp.floor_log2_pow10(dp.digit_count(x)))
+    table = PositionTable()
     assert all(check_positions(x.limbs, table))
     x.limbs[limb] = bad
     assert tuple(check_positions(x.limbs, table)) == (False, False, False)

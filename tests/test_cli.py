@@ -181,7 +181,8 @@ def test_sweep_resume_matches_fresh(tmp_path):
 
 @pytest.mark.parametrize("n,max_n", [(0, 1), (10, 11)])
 def test_sweep_resume_with_an_extra_digit(tmp_path, monkeypatch, n, max_n):
-    # 10 * 2**n: one digit more than the floor table sized from max_n covers
+    # 10 * 2**n: one digit more than 2**max_n has, so no row's digit
+    # count matches its n
     load_start(monkeypatch, n, 10 * 2**n)
     summary, records = dp.run_sweep(
         dp.SweepConfig(max_n=max_n, start_checkpoint=tmp_path / "unread.txt"),
@@ -190,38 +191,6 @@ def test_sweep_resume_with_an_extra_digit(tmp_path, monkeypatch, n, max_n):
     assert records[-1].digit_count > max_n // 3 + 1
     assert not summary.ok
     assert all(rec.digitcount_ok is False for rec in records)
-
-
-def test_sweep_floor_table_grows_past_cap(monkeypatch):
-    _, uncapped = run_csv(dp.SweepConfig(max_n=200, window=3))
-    monkeypatch.setattr(digitpow.sweep, "FLOOR_TABLE_CAP", 1)
-    summary, capped = run_csv(dp.SweepConfig(max_n=200, window=3))
-    assert summary.ok and capped == uncapped
-    # in one process: every table, the first and each regrowth, gets its
-    # own position view, and each row reads the view of its own table
-    sweep = digitpow.sweep
-    tables, views = [], []
-    real_floor, real_view = sweep.floor_log2_pow10, sweep.PositionTable
-    real_check = sweep.check_positions
-
-    def floor(xmax):
-        tables.append(real_floor(xmax))
-        return tables[-1]
-
-    def view(gap):
-        views.append(real_view(gap))
-        return views[-1]
-
-    def check(limbs, table):
-        assert table is views[-1] and table.gap is tables[-1]
-        return real_check(limbs, table)
-
-    monkeypatch.setattr(sweep, "floor_log2_pow10", floor)
-    monkeypatch.setattr(sweep, "PositionTable", view)
-    monkeypatch.setattr(sweep, "check_positions", check)
-    summary, one = run_csv(dp.SweepConfig(max_n=200, window=3, jobs=1))
-    assert summary.ok and one == uncapped
-    assert len(tables) > 3 and [id(v.gap) for v in views] == [id(t) for t in tables]
 
 
 @pytest.mark.parametrize("window,multiplier,fmt", [
