@@ -28,7 +28,6 @@ from .power import (
     save_checkpoint,
     validate_multiplier,
 )
-from .ratios import render_fraction
 from .sweep import SweepConfig, SweepSummary, VerificationRecord, run_sweep
 
 __version__ = "0.1.0"

@@ -255,14 +255,16 @@ def mul_small(x: DecimalNat, c: int) -> DecimalNat:
     p = x.limbs.astype(np.int64) * c  # limb * c < 10**18, fits int64
     carry = p // LIMB_BASE
     p -= carry * LIMB_BASE
+    # limbs < 10**9 and carries < c from here on: limb + carry < 2**31
+    p, carry = p.astype(_LIMB_DTYPE), carry.astype(_LIMB_DTYPE)
     while carry.any():
         if carry[-1]:
-            p = np.append(p, np.int64(0))
-            carry = np.append(carry, np.int64(0))
+            p = np.append(p, _LIMB_DTYPE(0))
+            carry = np.append(carry, _LIMB_DTYPE(0))
         p[1:] += carry[:-1]
         carry = p // LIMB_BASE
         p -= carry * LIMB_BASE
-    return DecimalNat(_trim(p).astype(_LIMB_DTYPE))
+    return DecimalNat(_trim(p))
 
 
 def div_small(x: DecimalNat, d: int) -> tuple[DecimalNat, int]:

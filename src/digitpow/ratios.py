@@ -1,27 +1,17 @@
-"""Digit-sum ratios s/n as exact rationals, and their reference constant.
+"""Digit-sum ratios s/n as exact integer quotients, and their reference
+constant.
 
-Ratios stay exact internally, as Fractions or as integer quotients;
-decimal strings appear only at output boundaries, rendered
-round-half-even at a fixed number of places so emitted files are
-byte-stable across platforms.
+Ratios stay exact internally: s/n, and a running mean N / (c * D) over
+the lcm D of its window's n (sweep._RatioWindow).  Decimal strings
+appear only at output boundaries, rendered round-half-even at a fixed
+number of places, so emitted files are byte-stable across platforms.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 # (9/2) * log10(2), the conjectured limit of s(2**n) / n, to 10 places,
 # round-half-even (tests/oracles.py computes it afresh)
 CONJECTURE_CONSTANT = "1.3546349805"
-
-
-def render_fraction(value: Fraction, places: int) -> str:
-    """Fixed-point decimal string, round-half-even, exact tie detection."""
-    if places < 0:
-        raise ValueError(f"places must be >= 0, got {places}")
-    if value < 0:
-        raise ValueError("negative ratios do not occur here")
-    return render_quotient(value.numerator * 10**places, value.denominator, places)
 
 
 def render_quotient(num: int, den: int, places: int) -> str:

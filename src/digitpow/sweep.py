@@ -49,10 +49,11 @@ a passing run depend neither on `jobs` nor on where the batches fall.
 
 A row's running_mean comes from a rolling integer sum of its window's
 terms floor(s * 10**16 / n), which brackets the exact sum; only when a
-rounding midpoint falls inside the bracket does the row sum the
-window's exact Fractions (_RatioWindow).  The exact mean of a 100-row
-window has a denominator of hundreds of digits: forming it on every
-row would cost about as much as the row's digit checks.
+rounding midpoint falls inside the bracket does the row form the
+window's exact mean as one integer quotient over the lcm of its n
+(_RatioWindow).  That lcm of a 100-row window has hundreds of digits:
+forming it on every row would cost about as much as the row's digit
+checks.
 
 Checkpoints fall on the grid (n - start n) % checkpoint_every == 0,
 or `checkpoint_seconds` after a band's start or its last checkpoint,
@@ -70,8 +71,8 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
+from math import lcm
 from operator import attrgetter
 from pathlib import Path
 from typing import IO, Callable
@@ -80,7 +81,7 @@ from .bignum import BACKEND, DecimalNat, digit_count, digit_sum, digit_tally, is
 from .checks import PositionTable, check_positions
 from .intlog import digit_count_range, digit_sum_exceeds_log4
 from .power import PowerState, load_checkpoint, save_checkpoint
-from .ratios import render_fraction, render_quotient, render_scaled
+from .ratios import render_quotient, render_scaled
 from .shards import CAN_FORK, POLL_ROWS, Forked, default_jobs, plan_shards
 
 CSV_HEADER = "n,s,digit_count,ratio,running_mean,theorem_ok,lemma2_ok,gap_ok,fourpow_ok"
@@ -174,15 +175,16 @@ class _RatioWindow:
     the first row it emits, so the mean at row n covers
     max(1, n - window + 1)..n whatever the emit range and start.
 
-    A row forms no Fraction unless the mean sits next to a rounding
+    A row forms no exact mean unless it sits next to a rounding
     midpoint.  With P = RATIO_PLACES and G = GUARD, the window keeps F,
     the sum of its rows' terms floor(s * 10**(P+G) / n).  Each term is
     less than 1 below its exact value, so the exact scaled sum T of the
     c rows lies in [F, F + c), and the mean times 10**P is T / d with
     d = c * 10**G.  When no midpoint (k + 1/2) * d lies in [F, F + c],
     T / d and F / d round to the same integer, (2F + d) // (2d).
-    Otherwise (odds about 10**-G a row) the mean is the sum of the
-    window's exact Fraction(s, n) over c, rendered by render_fraction.
+    Otherwise (odds about 10**-G a row) the mean is exactly N / (c * D),
+    with D the lcm of the window's n and N the sum of s * (D // n),
+    rendered by render_quotient, which rounds the value itself.
     """
 
     GUARD = 6
@@ -211,8 +213,9 @@ class _RatioWindow:
         # F / d lies in [q - 1/2, q + 1/2): the midpoints beside it
         if (2 * q - 1) * d < f2 and f2 + 2 * c < (2 * q + 1) * d:
             return ratio, render_scaled(q, RATIO_PLACES)
-        mean = sum((Fraction(s, n) for n, s, _ in rows), Fraction(0)) / c
-        return ratio, render_fraction(mean, RATIO_PLACES)
+        den = lcm(*(n for n, _, _ in rows))
+        num = sum(s * (den // n) for n, s, _ in rows)
+        return ratio, render_quotient(num * 10**RATIO_PLACES, c * den, RATIO_PLACES)
 
 
 def _flag(v: bool | None) -> str:

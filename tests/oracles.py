@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import sys
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -45,6 +46,20 @@ def school_mul_small(s: str, c: int) -> str:
 
 def school_double(s: str) -> str:
     return school_mul_small(s, 2)
+
+
+def render_fraction(value: Fraction, places: int) -> str:
+    """value >= 0 to `places` fractional digits, round-half-even, the
+    tie decided by comparing the exact remainder with 1/2."""
+    scaled = value * 10**places
+    q = scaled.numerator // scaled.denominator
+    rest = scaled - q
+    if rest > Fraction(1, 2) or (rest == Fraction(1, 2) and q % 2):
+        q += 1
+    if places == 0:
+        return str(q)
+    digits = str(q).rjust(places + 1, "0")
+    return f"{digits[:-places]}.{digits[-places:]}"
 
 
 def conjecture_constant(places: int) -> str:

@@ -174,6 +174,9 @@ def test_double_matches_int(v):
 @example(10**9, 0)
 @example(3**40, 1)
 @example(10**9 - 1, 1)
+@example(10 ** (9 * 40) - 1, 10**9 - 1)  # all-9 limbs: every carry is c - 1
+# limbs 333333333 over 999999999: times 3, a carry ripples through 40 limbs
+@example((10 ** (9 * 40) - 1) // 3 * 10**9 + 10**9 - 1, 3)
 def test_mul_small_matches_int(v, c):
     y = dp.mul_small(make(v), c)
     assert is_canonical(y)

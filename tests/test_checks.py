@@ -195,6 +195,11 @@ position_values = st.one_of(
 )
 
 
+# one table for every value, as a sweep has it: a value's verdicts do not
+# depend on the values checked with the table before it
+SHARED_TABLE = PositionTable()
+
+
 @settings(deadline=None, max_examples=500)
 @given(position_values)
 def test_position_checks_match_oracles(v):
@@ -206,23 +211,14 @@ def test_position_checks_match_oracles(v):
     assert result.gap_ok == all(gap_inequality_check(v))
     assert result.fourpow_ok == four_power_bound_check(v)
     assert result.bound_ok == iterated_bound_check(v)
+    assert check_positions(x.limbs, SHARED_TABLE) == result
 
 
-# one table for every value, as a sweep has it: a value's verdicts do not
-# depend on the values checked with the table before it
-SHARED_TABLE = PositionTable()
 # lowest nonzero digits past the table's head, floor(x * log2 10) for
 # x < 64, so their pairs compute it; it is 209 at x = 63 and 235 at 71
 HIGH_PAIRS = [10**70 + 10**75, 10**70 + 10**235, 10**70 + 10**236, 10**63 + 10**300,
               10**64 + 10**65 + 10**400, 10**62 + 10**209, 10**62 + 10**210,
               10**9 * (10**54 + 10**80)]
-
-
-@settings(deadline=None, max_examples=300)
-@given(st.one_of(position_values, st.sampled_from(HIGH_PAIRS)))
-def test_position_table_gives_the_same_verdicts(v):
-    x = dp.from_decimal_string(str(v))
-    assert check_positions(x.limbs, SHARED_TABLE) == positions(v)
 
 
 @pytest.mark.parametrize("v", HIGH_PAIRS)

@@ -20,6 +20,7 @@ from oracles import (
     four_power_bound_check,
     gap_inequality_check,
     oracle_digit_sum,
+    render_fraction,
 )
 from test_faults import DROPPED_CARRY_ROWS, drop_carry, inject, load_start
 
@@ -128,8 +129,8 @@ def test_sweep_window_means():
     ratios = {n: Fraction(oracle_digit_sum(n), n) for n in range(1, 11)}
     mean_n2 = (ratios[1] + ratios[2]) / 2  # prefix-truncated window
     mean_n10 = (ratios[8] + ratios[9] + ratios[10]) / 3
-    assert lines[2].split(",")[4] == dp.render_fraction(mean_n2, 10)
-    assert lines[10].split(",")[4] == dp.render_fraction(mean_n10, 10)
+    assert lines[2].split(",")[4] == render_fraction(mean_n2, 10)
+    assert lines[10].split(",")[4] == render_fraction(mean_n10, 10)
 
 
 @pytest.mark.parametrize("split_checks", ["policy", "full"])
@@ -207,7 +208,7 @@ def test_stats_running_mean_fresh_matches_resumed(tmp_path, window, multiplier, 
     # running_mean at n averages s/n over max(1, n - window + 1)..n,
     # whether the run starts at n = 0 or resumes below or inside the band
     expected = [
-        dp.render_fraction(
+        render_fraction(
             sum(Fraction(oracle_digit_sum(k, multiplier), k)
                 for k in range(max(1, n - window + 1), n + 1))
             / (n - max(1, n - window + 1) + 1),

@@ -81,6 +81,8 @@ def test_floor_at_the_bracket_fallbacks():
         ((42039, 12655), (254370, 76573)),  # both below log2 10
         ((70777, 21306), (325147, 97879)),  # both above
         ((325147, 97879), (254370, 76573)),  # swapped
+        ((254371, 76573), (325147, 97879)),  # lower one too high
+        ((254370, 76573), (325146, 97879)),  # upper one too low
     ],
 )
 def test_table_refuses_a_non_bracketing_pair(monkeypatch, lower, upper):

@@ -1,4 +1,5 @@
 import io
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,50 +9,50 @@ from mpmath import mp
 
 import digitpow as dp
 import digitpow.sweep
-from digitpow.ratios import CONJECTURE_CONSTANT
+from digitpow.ratios import CONJECTURE_CONSTANT, render_quotient
 from digitpow.sweep import _RatioWindow
-from oracles import conjecture_constant, oracle_digit_sum
+from oracles import conjecture_constant, oracle_digit_sum, render_fraction
 
 
+# render_quotient(num, den, places) renders num / den / 10**places; the
+# running-mean fallback hands it a value that need not be in lowest terms
 def test_render_fraction_basic():
-    assert dp.render_fraction(Fraction(7, 10), 10) == "0.7000000000"
-    assert dp.render_fraction(Fraction(2, 1), 10) == "2.0000000000"
-    assert dp.render_fraction(Fraction(8, 3), 4) == "2.6667"
-    assert dp.render_fraction(Fraction(0), 3) == "0.000"
+    assert render_quotient(7 * 10**10, 10, 10) == "0.7000000000"
+    assert render_quotient(2 * 10**10, 1, 10) == "2.0000000000"
+    assert render_quotient(8 * 10**4, 3, 4) == "2.6667"
+    assert render_quotient(0, 1, 3) == "0.000"
 
 
 def test_render_fraction_half_even():
-    assert dp.render_fraction(Fraction(1, 8), 2) == "0.12"  # 0.125 -> even
-    assert dp.render_fraction(Fraction(3, 8), 2) == "0.38"  # 0.375 -> even
-    assert dp.render_fraction(Fraction(5, 100), 1) == "0.0"
-    assert dp.render_fraction(Fraction(15, 100), 1) == "0.2"
-    assert dp.render_fraction(Fraction(1, 2), 0) == "0"
-    assert dp.render_fraction(Fraction(3, 2), 0) == "2"
-
-
-def test_render_fraction_errors():
-    with pytest.raises(ValueError):
-        dp.render_fraction(Fraction(1, 2), -1)
-    with pytest.raises(ValueError):
-        dp.render_fraction(Fraction(-1, 2), 2)
+    assert render_quotient(1 * 10**2, 8, 2) == "0.12"  # 0.125 -> even
+    assert render_quotient(3 * 10**2, 8, 2) == "0.38"  # 0.375 -> even
+    assert render_quotient(5 * 10, 100, 1) == "0.0"
+    assert render_quotient(15 * 10, 100, 1) == "0.2"
+    assert render_quotient(1, 2, 0) == "0"
+    assert render_quotient(3, 2, 0) == "2"
+    # the same values over a common factor round the same way
+    assert render_quotient(7 * 1 * 10**2, 7 * 8, 2) == "0.12"
+    assert render_quotient(6 * 15 * 10, 6 * 100, 1) == "0.2"
 
 
 @given(
     st.integers(min_value=0, max_value=10**9),
     st.integers(min_value=1, max_value=10**6),
     st.integers(min_value=0, max_value=12),
+    st.integers(min_value=1, max_value=10**4),
 )
-def test_render_fraction_accuracy(num, den, places):
+def test_render_fraction_accuracy(num, den, places, factor):
     f = Fraction(num, den)
-    rendered = dp.render_fraction(f, places)
-    scaled = Fraction(rendered)
-    assert abs(scaled - f) <= Fraction(1, 2 * 10**places)
+    rendered = render_quotient(num * 10**places, den, places)
+    assert abs(Fraction(rendered) - f) <= Fraction(1, 2 * 10**places)
+    assert rendered == render_fraction(f, places)
+    assert render_quotient(factor * num * 10**places, factor * den, places) == rendered
 
 
 def test_ratio_sample():
     ratio, mean = _RatioWindow(1).push(10, 7)
-    assert ratio == mean == "0.7000000000" == dp.render_fraction(Fraction(7, 10), 10)
-    assert dp.render_fraction(Fraction(7, 10), 3) == "0.700"
+    assert ratio == mean == "0.7000000000" == render_fraction(Fraction(7, 10), 10)
+    assert render_quotient(7 * 10**3, 10, 3) == "0.700"
 
 
 def test_ratio_samples_respect_lower_bound():
@@ -69,7 +70,7 @@ def test_ratio_samples_respect_lower_bound():
 
 
 def render(value: Fraction) -> str:
-    return dp.render_fraction(value, 10)
+    return render_fraction(value, 10)
 
 
 def pushed(pairs, window: int) -> list[tuple[int, str, str]]:
@@ -139,14 +140,16 @@ def test_running_mean_matches_oracle(pairs, window):
     assert pushed(pairs, window) == oracle_rows(pairs, window)
 
 
-def count_fallbacks(monkeypatch) -> list[Fraction]:
+def count_fallbacks(monkeypatch) -> list[tuple[int, ...]]:
+    # each exact fallback takes the lcm of its window's n, and no other
+    # route of _RatioWindow.push does
     calls = []
 
-    def counted(value, places):
-        calls.append(value)
-        return dp.render_fraction(value, places)
+    def counted(*ns):
+        calls.append(ns)
+        return math.lcm(*ns)
 
-    monkeypatch.setattr(digitpow.sweep, "render_fraction", counted)
+    monkeypatch.setattr(digitpow.sweep, "lcm", counted)
     return calls
 
 
@@ -154,8 +157,8 @@ def count_fallbacks(monkeypatch) -> list[Fraction]:
 @pytest.mark.parametrize("window", [2, 5, 100])
 def test_running_mean_exact_fallback_matches_oracle(monkeypatch, guard, window):
     # GUARD 0 leaves a midpoint inside every bracket, so every mean is
-    # summed from exact Fractions; GUARD 1 sends about one row in ten
-    # there and decides the rest from the bracket
+    # formed exactly over the lcm of its window's n; GUARD 1 sends about
+    # one row in ten there and decides the rest from the bracket
     monkeypatch.setattr(_RatioWindow, "GUARD", guard)
     calls = count_fallbacks(monkeypatch)
     state, pairs = dp.PowerState.start(), []
