@@ -192,14 +192,12 @@ def low_digit_positions(limbs: Iterable[tuple[int, int]], count: int) -> list[in
     limbs yields (index, value) of nonzero limbs, ascending, from the
     lowest one on; they are expanded whole, one at a time, until at
     least count positions are in hand or limbs runs out.  Each holds a
-    nonzero digit, so count of them are enough.  Raises ValueError at a
-    limb it expands that lies outside 0..LIMB_BASE-1.
+    nonzero digit, so count of them are enough.  Every limb it expands
+    must lie in 0..LIMB_BASE-1.
     """
     p0, p3, p6 = _CHUNK_POSITIONS
     out: list[int] = []
     for i, v in limbs:
-        if not 0 <= v < LIMB_BASE:
-            raise ValueError(f"limb {i} is {v}, outside 0..{LIMB_BASE - 1}")
         hi, v = divmod(v, 1000000)
         mid, v = divmod(v, 1000)
         local = p0[v] + p3[mid] + p6[hi]

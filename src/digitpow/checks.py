@@ -35,6 +35,30 @@ digits of only a few of them, without losing exactness:
   B_k implies e_k < 4**(k-1), so one loop decides both, reading
   4**(k-1) only where e_k > B_k.
 
+A shortcut decides most rows from limb 0 alone.  If no limb is zero
+and limb 0 has nonzero digits at positions 0 and 5 and at least one
+among positions 1..3, every check passes:
+
+* e_1 = 0, e_2 <= 3 = B_2 and e_3 <= 5 <= 13 = B_3.
+* Limb 0 holds e_1..e_3 and every higher limb is nonzero, so e_k <=
+  9 * (k - 2) - 1 = 9k - 19 for k >= 4, and 9k - 19 <= 3**(k-1) <= B_k
+  < 4**(k-1).
+* A pair with lower digit a = 0 ends at e_2 <= 3 = g(1).  A pair with a
+  in 1..4 ends at or below 5 < 6 = g(2) <= g(a + 1).
+* A pair with a = 5 ends in limb 0 or in limb 1, which is nonzero, so
+  at or below 17 <= 19 = g(6).
+* A pair with a >= 6 passes by the bound above, as there is no run of
+  zero limbs.
+
+Of the rows n = 30..10**5 of a sweep of 2**n, nine in ten take it; the
+others expand their low limbs.
+
+A corrupt value, one with a limb outside 0..10**9-1, is caught by one
+range rule before either route: all three checks fail when any of the
+lowest `need` nonzero limbs, the ones the walk may expand, is out of
+range.  So the shortcut and the walk give a corrupt value the same
+verdicts, and no table lookup reads past a chunk table.
+
 What depends on no value is built once and shared by every row of a
 sweep, its forked bands included, and by decompose (PositionTable):
 B_1..B_15 from intlog.bound_table, which a row cuts at its top digit by
@@ -69,7 +93,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bignum import LIMB_DIGITS, digit_span, low_digit_positions
+from .bignum import LIMB_BASE, LIMB_DIGITS, digit_span, low_digit_positions
 from .intlog import BOUND_TABLE_MAX_K, bound_table, floor_log2_pow10
 
 
@@ -77,6 +101,9 @@ class PositionChecks(NamedTuple):
     gap_ok: bool
     fourpow_ok: bool  # includes the e_1 = 0 requirement
     bound_ok: bool  # e_k <= B_k against the iterated bound table
+
+
+_PASSED = PositionChecks(True, True, True)
 
 
 # the first nine pairs read g(a + 1) at their lower digit a, below 63
@@ -100,21 +127,22 @@ class PositionTable:
         self.head = [floor_log2_pow10(x) for x in range(_HEAD)]
 
 
-def check_positions(limbs: np.ndarray, table: PositionTable) -> PositionChecks:
+def check_positions(limbs: np.ndarray, digit_count: int, table: PositionTable) -> PositionChecks:
     """Position checks on the nonzero digits of one value.
 
-    limbs are the value's canonical base-10**9 limbs, lowest first, and
-    their top digit must sit below B_15; table is a PositionTable, which
-    a caller checking many values builds once.  See the module docstring
-    for why the digits of a few limbs decide every check.  A limb it
-    expands that lies outside 0..10**9-1, which no canonical value holds,
-    fails all three.
+    limbs are the value's base-10**9 limbs, lowest first, and
+    digit_count its number of digits, whose top one must sit below B_15;
+    table is a PositionTable, which a caller checking many values builds
+    once.  See the module docstring for why limb 0 decides most values,
+    and the digits of a few limbs decide every value.  If any of the
+    lowest `need` nonzero limbs lies outside 0..10**9-1, which no
+    canonical value holds, all three fail.
     """
     size = limbs.size
     count = np.count_nonzero(limbs)
     if count == 0:
         raise ValueError("no nonzero digits")
-    last = LIMB_DIGITS * (size - 1) + len(str(int(limbs[-1]))) - 1
+    last = digit_count - 1
     bounds = table.bounds
     if last >= bounds[-1]:
         raise ValueError(f"top digit position {last} is not below B_{len(bounds)} = {bounds[-1]}")
@@ -122,16 +150,20 @@ def check_positions(limbs: np.ndarray, table: PositionTable) -> PositionChecks:
     # holds at most nine digits, so the pairs whose lower digit lies
     # there are among the first nine pairs
     need = max(bisect_right(bounds, last) + 1, LIMB_DIGITS + 1)
-    if count < size:
+    if count == size:  # no zero limb
+        low_limbs = limbs[:need].tolist()
+        pairs = enumerate(low_limbs)
+    else:
         nz = np.flatnonzero(limbs)
         idx = nz[:need]
-        pairs = zip(idx.tolist(), limbs[idx].tolist())
-    else:  # no zero limb
-        pairs = enumerate(limbs[:need].tolist())
-    try:
-        low = low_digit_positions(pairs, need)
-    except ValueError:  # a limb outside the limb range: a corrupt value
+        low_limbs = limbs[idx].tolist()
+        pairs = zip(idx.tolist(), low_limbs)
+    if min(low_limbs) < 0 or max(low_limbs) >= LIMB_BASE:  # a corrupt value
         return PositionChecks(False, False, False)
+    v0 = low_limbs[0]
+    if count == size and v0 % 10 and v0 // 100000 % 10 and v0 // 10 % 1000:
+        return _PASSED  # the shortcut of the module docstring
+    low = low_digit_positions(pairs, need)
     # B_k < 4**(k-1), so e_k <= B_k passes both; past the first B_k
     # above last every e_k passes both, so zip may run past it
     bound_ok = fourpow_ok = True

@@ -100,7 +100,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     dc = digit_count(state.value)
     pc = None
     if args.multiplier == 2:
-        pc = check_positions(state.value.limbs, PositionTable())
+        pc = check_positions(state.value.limbs, dc, PositionTable())
     terms = digit_scan(state.value)
     if args.format == "json":
         obj = {

@@ -278,7 +278,7 @@ class _RowChecks:
         if dc != self.dc:
             self.dc = dc
             self.dc_lo, self.dc_hi = digit_count_range(dc)
-        gap_ok, fourpow_ok, ekbound_ok = check_positions(value.limbs, table)
+        gap_ok, fourpow_ok, ekbound_ok = check_positions(value.limbs, dc, table)
         return VerificationRecord(
             n, s, dc, m, digit_sum_exceeds_log4(n, s), None, gap_ok, fourpow_ok,
             ekbound_ok, self.dc_lo <= n <= self.dc_hi, mod9_ok,
@@ -409,24 +409,25 @@ def run_sweep(
             # a private copy of the row before, while it is proven 2**n
             prev = state.value.limbs.copy() if splits and state.is_exact() else None
             text: list[str] = []  # rows not yet written
+            step, add, push, write = state.step, tally.add, window.push, out.write
+            every, seconds = cfg.checkpoint_every, cfg.checkpoint_seconds
             for n in range(band_lo, band_hi + 1):
                 if poll is not None and (n - band_lo) % POLL_ROWS == 0:
                     poll()
-                state.step()
+                step()
                 rec = row_checks(n, state.value)
                 due = ckpt_dir is not None and (
-                    (n - start_n) % cfg.checkpoint_every == 0
-                    or time.monotonic() - last_t >= cfg.checkpoint_seconds
+                    (n - start_n) % every == 0 or time.monotonic() - last_t >= seconds
                 )
                 if splits:
                     rec.lemma2_checked = min(n, rec.digit_count - 1)
                     row = state.value.limbs.copy() if prev is not None else None
                     rec.lemma2_ok = row is not None and is_doubled(prev, row)
                     prev = row if rec.lemma2_ok else None
-                tally.add(rec)
-                text.append(row_text(rec, *window.push(n, rec.s)))
+                add(rec)
+                text.append(row_text(rec, *push(n, rec.s)))
                 if not splits or due or n == band_hi or (n - band_lo) % SPLIT_BATCH == 0:
-                    out.write("".join(text))
+                    write("".join(text))
                     text.clear()
                 if due:
                     checkpoint()

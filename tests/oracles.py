@@ -140,16 +140,24 @@ def gap_inequality_check(v: int) -> list[bool]:
     """Per-pair verdicts of e_k <= floor(log2(10) * (e_{k-1} + 1)).
 
     floor(x * log2(10)) is (10**x).bit_length() - 1, as 10**x is never
-    a power of two for x >= 1.
+    a power of two for x >= 1.  10**x is carried from pair to pair, so a
+    value of many thousand nonzero digits takes milliseconds, not
+    seconds.
     """
     es = [e for _, e in decompose(v)]
-    return [b <= (10 ** (a + 1)).bit_length() - 1 for a, b in zip(es, es[1:])]
+    out, x, p = [], 0, 1  # p = 10**x
+    for a, b in zip(es, es[1:]):
+        p *= 10 ** (a + 1 - x)
+        x = a + 1
+        out.append(b <= p.bit_length() - 1)
+    return out
 
 
 def four_power_bound_check(v: int) -> bool:
-    """True iff e_1 = 0 and e_k < 4**(k-1) for every nonzero digit."""
+    """True iff e_1 = 0 and e_k < 4**(k-1) for every nonzero digit;
+    e < 4**i = 2**(2i) is read as e.bit_length() <= 2i."""
     es = [e for _, e in decompose(v)]
-    return es[0] == 0 and all(e < 4**i for i, e in enumerate(es))
+    return es[0] == 0 and all(e.bit_length() <= 2 * i for i, e in enumerate(es))
 
 
 def iterated_bound_check(v: int) -> bool:

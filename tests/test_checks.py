@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import digitpow as dp
+import digitpow.checks
 from digitpow.checks import PositionTable, check_positions
+from digitpow.cli import main
 from oracles import (
     decompose,
     four_power_bound_check,
@@ -22,7 +24,7 @@ positives = st.integers(min_value=1, max_value=10**45)
 def positions(v: int):
     """check_positions on v, set up as a sweep row sets it up."""
     x = dp.from_decimal_string(str(v))
-    return check_positions(x.limbs, PositionTable())
+    return check_positions(x.limbs, len(str(v)), PositionTable())
 
 
 def test_decompose_examples():
@@ -211,7 +213,7 @@ def test_position_checks_match_oracles(v):
     assert result.gap_ok == all(gap_inequality_check(v))
     assert result.fourpow_ok == four_power_bound_check(v)
     assert result.bound_ok == iterated_bound_check(v)
-    assert check_positions(x.limbs, SHARED_TABLE) == result
+    assert check_positions(x.limbs, len(digits), SHARED_TABLE) == result
 
 
 # lowest nonzero digits past the table's head, floor(x * log2 10) for
@@ -223,7 +225,7 @@ HIGH_PAIRS = [10**70 + 10**75, 10**70 + 10**235, 10**70 + 10**236, 10**63 + 10**
 
 @pytest.mark.parametrize("v", HIGH_PAIRS)
 def test_position_checks_past_the_table_head(v):
-    r = check_positions(dp.from_decimal_string(str(v)).limbs, SHARED_TABLE)
+    r = check_positions(dp.from_decimal_string(str(v)).limbs, len(str(v)), SHARED_TABLE)
     assert r.gap_ok == all(gap_inequality_check(v))
     assert r.fourpow_ok == four_power_bound_check(v) is False
     assert r.bound_ok == iterated_bound_check(v) is False
@@ -241,10 +243,10 @@ def test_position_checks_refuse_a_value_past_the_last_bound():
         limbs = np.zeros(last // 9 + 1, dtype=np.int32)
         limbs[0], limbs[-1] = 1, 10 ** (last % 9)
         if ok:
-            assert tuple(check_positions(limbs, table)) == (False, False, False)
+            assert tuple(check_positions(limbs, last + 1, table)) == (False, False, False)
         else:
             with pytest.raises(ValueError, match="not below B_15 = 25731874"):
-                check_positions(limbs, table)
+                check_positions(limbs, last + 1, table)
 
 
 def test_gap_check_across_zero_limbs():
@@ -268,19 +270,90 @@ def test_position_checks_at_the_bounds():
         assert four_power_bound_check(v) is fourpow_ok
 
 
-@pytest.mark.parametrize("limb", [0, 1])
+@pytest.mark.parametrize("limb", [0, 1, 2])
 @pytest.mark.parametrize("bad", [10**9, 2**30 + 1, 2**31 - 1, -1, -(2**31)])
 def test_position_checks_fail_an_expanded_limb_out_of_range(limb, bad):
-    # limbs 0 and 1 of 2**200 are expanded; a value outside 0..10**9-1
-    # there fails every position check instead of reading past, or from
-    # the end of, the chunk tables
+    # 2**200 has 7 limbs, all among the lowest ten that the walk may
+    # expand; a value outside 0..10**9-1 in any of them fails every
+    # position check by the range rule, checked before either route,
+    # instead of reading past, or from the end of, the chunk tables.
+    # Limb 0 (835301376) meets the shortcut's condition, and the walk
+    # would not reach limb 2: only the range rule catches it
     x = dp.from_decimal_string(str(2**200))
     table = PositionTable()
-    assert all(check_positions(x.limbs, table))
+    assert all(check_positions(x.limbs, 61, table))
     x.limbs[limb] = bad
-    assert tuple(check_positions(x.limbs, table)) == (False, False, False)
-    with pytest.raises(ValueError, match=f"limb {limb} is {bad}"):
-        dp.bignum.low_digit_positions(enumerate(x.limbs.tolist()), 30)
+    assert tuple(check_positions(x.limbs, 61, table)) == (False, False, False)
+
+
+def shortcut_limbs(size, density, seed):
+    """size limbs whose digits are each nonzero with probability density,
+    then set to meet the shortcut's condition: digits 0 and 5 of limb 0
+    and one of its digits 1..3 nonzero, and no zero limb."""
+    rng = np.random.default_rng(seed)
+    digits = rng.integers(1, 10, (size, 9)) * (rng.random((size, 9)) < density)
+    digits[0, [0, 5, rng.integers(1, 4)]] = rng.integers(1, 10, 3)
+    empty = np.flatnonzero(~digits.any(axis=1))
+    digits[empty, rng.integers(0, 9, empty.size)] = rng.integers(1, 10, empty.size)
+    return (digits * 10 ** np.arange(9)).sum(axis=1).astype(np.int32)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 3000), st.floats(0.05, 1.0), st.integers(0, 2**32 - 1))
+def test_shortcut_matches_oracles(size, density, seed):
+    # every value that meets the condition passes all three checks, as
+    # the oracles find from its digits
+    limbs = shortcut_limbs(size, density, seed)
+    text = "".join(f"{x:09d}" for x in reversed(limbs.tolist())).lstrip("0")
+    v = int(text)
+    verdicts = (all(gap_inequality_check(v)), four_power_bound_check(v), iterated_bound_check(v))
+    assert tuple(check_positions(limbs, len(text), SHARED_TABLE)) == verdicts == (True,) * 3
+
+
+def count_walks(monkeypatch) -> list[None]:
+    """One entry per call of low_digit_positions, the walk's expansion."""
+    calls = []
+    real = digitpow.checks.low_digit_positions
+
+    def spy(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(digitpow.checks, "low_digit_positions", spy)
+    return calls
+
+
+# limb 0 of 2**200 is 835301376, digits 6 7 3 1 0 3 5 3 8 from position 0
+HIGH_200 = 2**200 - 2**200 % 10**9
+
+
+@pytest.mark.parametrize("v,walks", [
+    pytest.param(2**200, False, id="shortcut"),
+    # d4 but not d5: the pair (4, 17) breaks g(5) = 16
+    pytest.param(10**17 + 10011, True, id="d5=0"),
+    # e_2 = 5 breaks all three
+    pytest.param(HIGH_200 + 835300006, True, id="d1=d2=d3=0"),
+    pytest.param(HIGH_200 + 835301370, True, id="d0=0"),
+    # the pair (5, 20) spans the zero limb 1 and breaks g(6) = 19
+    pytest.param(10**20 + 100111, True, id="zero-limb-1"),
+    pytest.param(2**200 - 2**200 // 10**45 % 10**9 * 10**45, True, id="zero-limb-5-of-10"),
+])
+def test_shortcut_boundaries(monkeypatch, v, walks):
+    calls = count_walks(monkeypatch)
+    r = positions(v)
+    assert bool(calls) is walks
+    assert r.gap_ok == all(gap_inequality_check(v))
+    assert r.fourpow_ok == four_power_bound_check(v)
+    assert r.bound_ok == iterated_bound_check(v)
+
+
+def test_shortcut_decides_most_sweep_rows(monkeypatch, tmp_path):
+    # 346 of the rows n <= 3000 walk: the values below 10**5, and rows
+    # with a zero digit where the shortcut reads one or with a zero limb
+    calls = count_walks(monkeypatch)
+    argv = ["verify", "--max-n", "3000", "--jobs", "1", "--out", str(tmp_path / "rows.csv")]
+    assert main(argv) == 0
+    assert 0 < len(calls) < 3000 / 5
 
 
 def test_decompose_matches_oracle_digit_sums():

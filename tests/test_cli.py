@@ -337,11 +337,11 @@ def test_verify_ignores_a_row_changed_after_the_next_step(tmp_path, capsys, monk
     real = digitpow.sweep.check_positions
     held = []
 
-    def spy(limbs, table):
+    def spy(limbs, digit_count, table):
         held.append(limbs)  # one call per row: held[n - 1] is row n's
         if len(held) == 101:
             held[99][0] += 2  # 2**100 + 2
-        return real(limbs, table)
+        return real(limbs, digit_count, table)
 
     monkeypatch.setattr(digitpow.sweep, "check_positions", spy)
     argv = ["verify", "--max-n", "130", "--jobs", "1", "--out", str(tmp_path / "rows.csv")]

@@ -131,6 +131,16 @@ def carry(cell: Cell, monkeypatch) -> None:
     cell.fails_first_at(n)
 
 
+def power_of_ten(cell: Cell, monkeypatch) -> None:
+    # row n holds the power of ten with its digit count: digit sum 1, so
+    # the theorem fails, and so do the certificate and the checks of
+    # e_1 = 0; 2**n is 1 mod 9 too, so mod9_ok passes
+    n = MAX_N - 10
+    assert pow(2, n, 9) == 1
+    inject(monkeypatch, 2, n, lambda v: "1" + "0" * (len(v) - 1))
+    cell.fails_first_at(n, "theorem_ok,lemma2_ok,fourpow_ok,ekbound_ok")
+
+
 def swap_digits(cell: Cell, monkeypatch) -> None:
     # digit sum, digit count and low digits stay: only the doubling
     # certificate of the link into row n sees it
@@ -180,6 +190,7 @@ def shard(cell: Cell, monkeypatch) -> None:
 CELLS = list(itertools.product(("verify", "stats"), (2, 3, 5), (1, 2), ("fresh", "resumed")))
 TABLE = {  # fault: the cells (mode, a, jobs, start) it runs in
     carry: CELLS,
+    power_of_ten: [("verify", 2, 1, "fresh")],
     swap_digits: [c for c in CELLS if c[:2] == ("verify", 2)],
     walk: [c for c in CELLS if c[:3] == ("verify", 2, 2)],
     start: [c for c in CELLS if c[1] in (2, 5) and c[3] == "resumed"],
