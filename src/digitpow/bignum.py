@@ -12,9 +12,16 @@ their carries in that dtype too, since a ufunc that mixes bool and int
 operands costs about twice the same-dtype one.  Only where a product
 can pass 2**31 is it formed in int64: mul_small's limb * c, the limb
 pairs of to_int's fold, and the weighted digit sum of parsing.
-Tables are gathered through an intp copy of their int32 index, since
-numpy's fancy indexing with an int32 index is several times slower than
-the cast plus the gather.
+
+Two rules for the per-row kernels, measured on numpy 2.4.  A ufunc
+handed a Python int converts it on every call, about 0.3 us, a quarter
+of a pass over 2700 limbs; so the kernels' scalar operands are 0-d
+module constants of the operands' dtype.  And a table is gathered by
+np.take on the int32 index in "wrap" mode, into the index array: that
+mode takes out= without the copy the default mode makes, so no output
+array is allocated.  Fancy indexing with the int32 index costs about
+twice an intp cast plus the gather, and the default-mode np.take
+measured slower than the cast inside digit_tally.
 
 Canonical form: the top limb of a nonzero value is nonzero, and zero is
 the empty limb sequence.  Every constructor produces canonical values.
@@ -33,6 +40,11 @@ _LIMB_DTYPE = np.int32
 _EMPTY = np.empty(0, dtype=_LIMB_DTYPE)
 # what a sweep's summary names as the backend it ran on
 BACKEND = f"numpy {np.__version__}, {np.dtype(_LIMB_DTYPE).name} limbs"
+# the kernels' scalar operands, as 0-d arrays of their operands' dtype
+_BASE = np.array(LIMB_BASE, dtype=_LIMB_DTYPE)
+_BASE64 = np.array(LIMB_BASE, dtype=np.int64)
+_HALF_BASE = np.array(LIMB_BASE // 2, dtype=_LIMB_DTYPE)
+_CHUNK5 = np.array(100000, dtype=_LIMB_DTYPE)
 # the digits of each 3-digit chunk c = 0..999, lowest first, and which
 # of them are nonzero as a 3-bit mask
 _CHUNK_DIGITS = np.arange(1000, dtype=np.int32)[:, None] // np.array([1, 10, 100]) % 10
@@ -172,13 +184,15 @@ def digit_tally(x: DecimalNat) -> tuple[int, int]:
     if l.size > _TALLY_MAX_LIMBS:
         raise ValueError(f"{l.size} limbs overflow the packed digit tally")
     # divide and subtract: integer % costs about three times //
-    hi = l // 100000
-    low = hi * 100000
+    hi = l // _CHUNK5
+    low = hi * _CHUNK5
     np.subtract(l, low, out=low)
+    # low lies in 0..99999 and hi in -21475..21474 for any int32 limb, so
+    # "wrap" gathers what indexing would, into the index arrays themselves
     t = _CHUNK5_TALLY
-    packed = t[low.astype(np.intp)]
-    packed += t[hi.astype(np.intp)]
-    acc = int(packed.sum())
+    t.take(low, mode="wrap", out=low)
+    low += t.take(hi, mode="wrap", out=hi)
+    acc = int(np.add.reduce(low))  # summed in int64, as .sum() would
     return acc >> 24, acc & 0xFFFFFF
 
 
@@ -234,11 +248,11 @@ def double_in_place(x: DecimalNat) -> DecimalNat:
     if l.size == 0:
         return x
     t = l + l  # below 2 * 10**9 < 2**31
-    carry = t // LIMB_BASE  # 0 or 1, in the limbs' dtype
+    carry = t // _BASE  # 0 or 1, in the limbs' dtype
     top = carry[-1]
     # carries never cascade: 2*limb - BASE + 1 <= 999999999 < BASE
     t[1:] += carry[:-1]
-    carry *= LIMB_BASE
+    carry *= _BASE
     t -= carry
     if top:
         t = np.append(t, _LIMB_DTYPE(1))
@@ -251,8 +265,8 @@ def mul_small(x: DecimalNat, c: int) -> DecimalNat:
     if not 0 <= c < LIMB_BASE:
         raise ValueError(f"multiplier must be in 0..{LIMB_BASE - 1}, got {c}")
     p = x.limbs.astype(np.int64) * c  # limb * c < 10**18, fits int64
-    carry = p // LIMB_BASE
-    p -= carry * LIMB_BASE
+    carry = p // _BASE64
+    p -= carry * _BASE64
     # limbs < 10**9 and carries < c from here on: limb + carry < 2**31
     p, carry = p.astype(_LIMB_DTYPE), carry.astype(_LIMB_DTYPE)
     while carry.any():
@@ -260,8 +274,8 @@ def mul_small(x: DecimalNat, c: int) -> DecimalNat:
             p = np.append(p, _LIMB_DTYPE(0))
             carry = np.append(carry, _LIMB_DTYPE(0))
         p[1:] += carry[:-1]
-        carry = p // LIMB_BASE
-        p -= carry * LIMB_BASE
+        carry = p // _BASE
+        p -= carry * _BASE
     return DecimalNat(_trim(p))
 
 
@@ -292,47 +306,51 @@ def div_small(x: DecimalNat, d: int) -> tuple[DecimalNat, int]:
 def is_doubled(old: np.ndarray, new: np.ndarray) -> bool:
     """Whether the int32 limbs `new` hold twice the value of the limbs `old`.
 
-    A certificate, not a recomputation: with t_i = 2 * old_i - new_i
-    (both padded with zero limbs to a common length M) and candidate
-    carries c_0 = 0, c_{i+1} = (t_i + 1) // LIMB_BASE, it requires
-    c_M = 0 and t_i + c_i == LIMB_BASE * c_{i+1} for every i.  The sum
-    of (t_i + c_i - LIMB_BASE * c_{i+1}) * LIMB_BASE**i telescopes to
-    2 * value(old) - value(new) + c_0 - c_M * LIMB_BASE**M, so the
-    equations prove the identity for any integers c_i, whatever carries
-    double_in_place computed.
+    A certificate: pad both with zero limbs to a common length M, take
+    candidate carries c_0 = 0 and c_{i+1} = old_i // (LIMB_BASE // 2),
+    and require c_M = 0 and new_i == 2 * old_i + c_i - LIMB_BASE * c_{i+1}
+    for every i < M.  Summed with weights LIMB_BASE**i, the right-hand sides
+    telescope to 2 * value(old) + c_0 - c_M * LIMB_BASE**M =
+    2 * value(old), so the equations prove value(new) == 2 * value(old)
+    for any integers c_i, whatever carries double_in_place computed.
 
     int32 arithmetic wraps silently, so before any arithmetic the
-    certificate refuses a limb outside 0..LIMB_BASE-1, in old or in new.
-    Then every number it forms is an exact integer: 2 * old_i < 2**31,
-    -LIMB_BASE < t_i < 2 * LIMB_BASE - 1, c_{i+1} is -1, 0 or 1,
-    t_i + c_i lies in -LIMB_BASE..2 * LIMB_BASE - 1 and
-    t_i + c_i - LIMB_BASE * c_{i+1} in -2..LIMB_BASE - 1, all inside
-    int32.  So the equations hold over the integers, and the proof
-    stands.
+    certificate refuses a limb of old outside 0..LIMB_BASE-1.  Then
+    every number it forms is an exact integer: 2 * old_i < 2**31, c_i is
+    0 or 1, and c_{i+1} is 1 exactly when 2 * old_i >= LIMB_BASE, so
+    each right-hand side lies in 0..LIMB_BASE-1.  new_i is compared with
+    it exactly (a difference of two int32 values is 0 mod 2**32 only
+    when they are equal), so equality also puts each limb of new in
+    0..LIMB_BASE-1, and new needs no range pass of its own.
 
-    Conversely, when every limb lies in 0..LIMB_BASE-1 and the identity
-    holds, the true carries are 0 or 1 and t_i is -c_i or
-    LIMB_BASE - c_i, so (t_i + 1) // LIMB_BASE is the true carry and the
-    certificate holds.
+    Conversely, when old's limbs lie in 0..LIMB_BASE-1, the c_i are the
+    true carries of the doubling and the right-hand sides are the limbs
+    of 2 * value(old) followed by c_L (L = old.size): the certificate
+    holds exactly when new holds those limbs, with top zero limbs on
+    either side.
     """
     if old.dtype != _LIMB_DTYPE or new.dtype != _LIMB_DTYPE:
         raise TypeError(f"limbs must be {np.dtype(_LIMB_DTYPE)}, got {old.dtype} and {new.dtype}")
+    size, new_size = old.size, new.size
     # a negative int32 limb reads as 2**31 or more in uint32: one pass
-    # each refuses both ends of the range
-    for limbs in (old, new):
-        if limbs.size and limbs.view(np.uint32).max() >= LIMB_BASE:
-            return False
-    size = max(old.size, new.size)
-    t = np.zeros(size, dtype=_LIMB_DTYPE)
-    np.add(old, old, out=t[: old.size])
-    t[: new.size] -= new
-    carry = t + 1
-    carry //= LIMB_BASE  # c_{i+1}
-    if size and carry[-1]:
+    # refuses both ends of the range
+    if size and old.view(np.uint32).max() >= LIMB_BASE:
         return False
+    carry = old // _HALF_BASE  # c_1..c_L
+    t = old + old
     t[1:] += carry[:-1]
-    carry *= LIMB_BASE
-    t -= carry
+    top = size and carry[-1]  # c_L
+    carry *= _BASE
+    t -= carry  # the right-hand sides below L
+    if new_size > size:  # above L: c_L, then zeros
+        if new[size] != top or (new_size > size + 1 and new[size + 1 :].any()):
+            return False
+        new = new[:size]
+    elif top or (new_size < size and t[new_size:].any()):
+        return False  # new is zero above its own length, and c_M = c_L
+    else:
+        t = t[:new_size]
+    t -= new
     return not np.count_nonzero(t)
 
 

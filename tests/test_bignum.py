@@ -285,6 +285,32 @@ def test_is_doubled_examples():
     assert not is_doubled(a(999_999_999), a(999_999_998))  # the top carry dropped
     assert not is_doubled(a(600_000_000, 7), a(200_000_000, 14))  # a carry dropped
     assert not is_doubled(a(1), a())
+    # the candidate carry c_{i+1} = old_i // 500000000 at its edge, with
+    # new as long as old and one limb longer
+    assert is_doubled(a(499_999_999), a(999_999_998))
+    assert is_doubled(a(499_999_999), a(999_999_998, 0))
+    assert not is_doubled(a(499_999_999), a(999_999_998, 1))
+    assert is_doubled(a(500_000_000), a(0, 1))
+    assert not is_doubled(a(500_000_000), a(0))  # c_M = 1
+    assert not is_doubled(a(500_000_000), a(0, 0))
+    assert is_doubled(a(999_999_999, 499_999_999), a(999_999_998, 999_999_999))
+    assert is_doubled(a(999_999_999, 500_000_000), a(999_999_998, 1, 1))
+    # a longer new whose top limb is 2: no carry is 2
+    assert not is_doubled(a(999_999_999), a(999_999_998, 2))
+    assert not is_doubled(a(5), a(10, 0, 2))
+    # top zero limbs on old
+    assert is_doubled(a(5, 0, 0), a(10))
+    assert is_doubled(a(500_000_000, 0), a(0, 1))
+    assert is_doubled(a(500_000_000, 0), a(0, 1, 0, 0))
+    assert not is_doubled(a(5, 0), a(10, 1))
+    assert not is_doubled(a(5, 0, 0), a(10, 0, 1))
+    # limbs of old outside the range whose doubles the int32 arithmetic
+    # wraps into the true identity, as 2 * (2**31 - 1) = 4 * 10**9 +
+    # 294967294 and 2 * -1 = 999999998 - 10**9: only the range pass
+    # over old refuses them
+    assert not is_doubled(a(2**31 - 1), a(294_967_294, 4))
+    assert not is_doubled(a(-1), a(999_999_998, -1))
+    assert not is_doubled(a(10**9), a(0, 2))
     with pytest.raises(TypeError):
         is_doubled(a(5).astype(np.int64), a(10))
     x = make(3**4000)
@@ -293,6 +319,19 @@ def test_is_doubled_examples():
     assert is_doubled(x.limbs, y.limbs)
     y.limbs[100] += 1
     assert not is_doubled(x.limbs, y.limbs)
+
+
+@given(st.lists(int32_limbs, min_size=1, max_size=8))
+@example([-(2**31), 2**31 - 1, -1, 10**9])
+def test_digit_tally_reads_any_int32_limb_as_indexing_would(limbs):
+    # the tally's "wrap" gathers read a limb outside the range, such as a
+    # corrupt one, as numpy indexing does: low in 0..99999, hi negative
+    # counting from the table's end; no index is refused
+    limbs[-1] = limbs[-1] or 1
+    t = bignum._CHUNK5_TALLY.tolist()
+    acc = sum(t[v - v // 100000 * 100000] + t[v // 100000] for v in limbs)
+    x = dp.DecimalNat(np.array(limbs, dtype=np.int32))
+    assert dp.digit_tally(x) == (acc >> 24, acc & 0xFFFFFF)
 
 
 @given(naturals, naturals)
