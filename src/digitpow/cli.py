@@ -20,7 +20,7 @@ from .intlog import BOUND_TABLE_MAX_K, bound_table
 from .oeis import BFileFormatError, cross_check, parse_bfile
 from .power import CheckpointError, PowerState
 from .ratios import CONJECTURE_CONSTANT
-from .shards import default_jobs
+from .shards import MAX_JOBS, default_jobs
 from .sweep import SweepConfig, run_sweep
 
 
@@ -165,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_jobs(p: argparse.ArgumentParser) -> None:
         p.add_argument("--jobs", type=int, default=default_jobs(),
-                       help="processes to shard the sweep's rows across; the "
+                       help=f"processes to shard the sweep's rows across, 1..{MAX_JOBS}; the "
                             "output does not depend on it (default: the cores "
                             "this process may use, %(default)s)")
 

@@ -38,15 +38,18 @@ CAN_FORK = hasattr(os, "fork")
 ROW_BASE = 70_000
 # rows of the parent's band between polls of its children
 POLL_ROWS = 64
+# the most bands a sweep is cut into: it forks one child per band but the first
+MAX_JOBS = 64
 
 
 def default_jobs() -> int:
-    """The cores this process may run on; 1 where os.fork is missing."""
+    """The cores this process may run on, at most MAX_JOBS; 1 where
+    os.fork is missing."""
     if not CAN_FORK:
         return 1
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        return min(len(os.sched_getaffinity(0)), MAX_JOBS)
+    return min(os.cpu_count() or 1, MAX_JOBS)
 
 
 def _work(x: float) -> float:

@@ -81,7 +81,7 @@ from .checks import PositionTable, check_positions
 from .intlog import digit_count_range, digit_sum_exceeds_log4
 from .power import PowerState, load_checkpoint, save_checkpoint
 from .ratios import render_quotient, render_scaled
-from .shards import CAN_FORK, POLL_ROWS, Forked, default_jobs, plan_shards
+from .shards import CAN_FORK, MAX_JOBS, POLL_ROWS, Forked, default_jobs, plan_shards
 
 CSV_HEADER = "n,s,digit_count,ratio,running_mean,theorem_ok,lemma2_ok,gap_ok,fourpow_ok"
 RATIO_PLACES = 10
@@ -354,8 +354,8 @@ def run_sweep(
         raise ValueError(f"max_n {cfg.max_n} is not beyond start n {start_n}")
     if cfg.split_checks not in ("policy", "full", "off"):
         raise ValueError(f"unknown split_checks mode {cfg.split_checks!r}")
-    if cfg.jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {cfg.jobs}")
+    if not 1 <= cfg.jobs <= MAX_JOBS:
+        raise ValueError(f"jobs must be in 1..{MAX_JOBS}, got {cfg.jobs}")
     if cfg.window < 1:
         raise ValueError(f"window must be >= 1, got {cfg.window}")
     if cfg.checkpoint_every < 1:

@@ -1,7 +1,7 @@
-"""A sweep sharded across processes writes what one process writes:
-rows, checkpoints, failure counts and log lines."""
+"""A sweep sharded across processes reports what one process reports:
+failure counts and log lines (test_bytes.py pins its rows and
+checkpoints); its children never outlive it."""
 
-import hashlib
 import io
 import os
 from pathlib import Path
@@ -11,70 +11,19 @@ import pytest
 import digitpow as dp
 import digitpow.sweep
 from digitpow.cli import main
-from digitpow.shards import ROW_BASE, Forked, plan_shards
+from digitpow.shards import MAX_JOBS, ROW_BASE, Forked, default_jobs, plan_shards
 from test_faults import assert_no_children, inject, load_start
 
 JOBS = (1, 2, 3)
 
 
-def run(cfg_args: dict, jobs: int, fmt: str = "csv", ckdir: Path | None = None):
+def run(cfg_args: dict, jobs: int, ckdir: Path | None = None):
     buf, logs = io.StringIO(), []
     summary, records = dp.run_sweep(
         dp.SweepConfig(jobs=jobs, checkpoint_dir=ckdir, **cfg_args),
-        out=buf, fmt=fmt, collect=True, log=logs.append,
+        out=buf, collect=True, log=logs.append,
     )
     return buf.getvalue(), summary, records, logs
-
-
-def checkpoint_files(ckdir: Path) -> dict[str, str]:
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in ckdir.iterdir()}
-
-
-def assert_jobs_agree(tmp_path, cfg_args: dict, fmt: str) -> dict[str, str]:
-    """Runs the sweep with each of JOBS; returns the checkpoint files."""
-    outputs = []
-    for jobs in JOBS:
-        ckdir = tmp_path / f"ck{jobs}"
-        text, summary, records, logs = run(cfg_args, jobs, fmt, ckdir)
-        assert summary.ok and not logs
-        assert summary.jobs == jobs
-        outputs.append((text, [vars(r) for r in records], checkpoint_files(ckdir)))
-    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
-    return outputs[0][2]
-
-
-def resume_at(tmp_path, n: int, multiplier: int) -> Path:
-    value = dp.from_decimal_string(str(multiplier**n))
-    return dp.save_checkpoint(dp.PowerState(n, value, multiplier), tmp_path / "start.txt")
-
-
-@pytest.mark.parametrize("window", [1, 5, 100])
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
-def test_sharded_bytes_equal_one_process(tmp_path, window, fmt, resumed):
-    cfg_args = {"max_n": 700, "window": window, "emit_range": (230, 640),
-                "checkpoint_every": 70}
-    if resumed:
-        cfg_args["start_checkpoint"] = resume_at(tmp_path, 300, 2)
-    names = sorted(assert_jobs_agree(tmp_path, cfg_args, fmt))
-    start = 300 if resumed else 0
-    grid = [n for n in range(max(230, start + 1), 641) if (n - start) % 70 == 0]
-    assert names == [f"ckpt-n{n:012d}.txt" for n in grid + [700]]
-
-
-@pytest.mark.parametrize("multiplier", [2, 3])
-@pytest.mark.parametrize("window", [1, 5, 100])
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("resumed", [False, True], ids=["fresh", "resumed"])
-def test_stats_sharded_bytes_equal_one_process(tmp_path, multiplier, window, fmt, resumed):
-    # stats sweeps check no splits, and neither do sweeps of 3**n
-    cfg_args = {"max_n": 900, "multiplier": multiplier, "window": window,
-                "split_checks": "off", "emit_range": (330, 860), "checkpoint_every": 200}
-    if resumed:
-        cfg_args["start_checkpoint"] = resume_at(tmp_path, 400, multiplier)
-    names = assert_jobs_agree(tmp_path, cfg_args, fmt)
-    grid = (600, 800) if resumed else (400, 600, 800)
-    assert sorted(names) == [f"ckpt-n{n:012d}.txt" for n in (*grid, 900)]
 
 
 def test_sharded_tampered_start_reports_as_one_process(monkeypatch):
@@ -216,6 +165,17 @@ def test_plan_shards_balances_stats_cost():
 def test_sweep_rejects_zero_jobs():
     with pytest.raises(ValueError, match="jobs"):
         dp.run_sweep(dp.SweepConfig(max_n=10, jobs=0), out=io.StringIO())
+
+
+def test_sweep_refuses_jobs_past_max_before_any_fork(monkeypatch):
+    def no_fork(work):
+        raise AssertionError("forked a shard")
+
+    monkeypatch.setattr(digitpow.sweep, "Forked", no_fork)
+    with pytest.raises(ValueError, match=rf"jobs must be in 1\.\.64, got {MAX_JOBS + 1}"):
+        dp.run_sweep(dp.SweepConfig(max_n=100_000, jobs=MAX_JOBS + 1), out=io.StringIO())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1000)), raising=False)
+    assert default_jobs() == MAX_JOBS
 
 
 def test_cli_jobs_on_every_sweep(capsys):
