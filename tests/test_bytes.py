@@ -1,18 +1,11 @@
 """One table of byte identity: a sweep writes the same bytes however it
-is run.
-
-Each row is a sweep shape: a SweepConfig, a format, an optional resume
-point r and, for a row that checkpoints, the sha256 of its checkpoint
-files (names and bytes), fresh and resumed; GOLDEN holds the sha256 of
-its fresh output.  The columns are jobs in {1, 2, 3}, fresh and resumed
-from a checkpoint of a**r.  A fresh cell matches its row's goldens.  A
-resumed cell writes the fresh output past r: the CSV header and the
-rows after r, or the JSON lines after r.  Every cell passes every
-check, logs nothing and runs `jobs` shards.
-
-A golden moves only with the sweep's bytes; a change that moves one
-names it.
-"""
+is run.  A row of SHAPES is a sweep shape: a SweepConfig, a format, an
+optional resume point r and the sha256 of its checkpoint files (names
+and bytes), fresh and resumed; GOLDEN holds that of its fresh output.
+The columns are jobs 1, 2 and 3, fresh and resumed from a**r.  A fresh
+cell matches its row's goldens, a resumed one writes the fresh output
+past r, and every cell passes every check, logs nothing and runs `jobs`
+shards.  A golden moves only with the sweep's bytes."""
 
 import functools
 import hashlib

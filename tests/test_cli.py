@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import time
@@ -21,6 +22,7 @@ from oracles import (
     oracle_digit_sum,
     render_fraction,
 )
+from test_bytes import GOLDEN
 from test_faults import DROPPED_CARRY_ROWS, drop_carry, inject, load_start
 
 
@@ -571,6 +573,26 @@ def test_cli_stats(tmp_path, capsys):
     n10 = lines[10].split(",")
     assert n10[0] == "10" and n10[3] == "0.7000000000"
     assert "reference constant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,start,digest", [
+    (argv.split(), start, GOLDEN[row]) for argv, start, row in [
+        ("verify --max-n 3000 --format json", None, "v3000-json"),
+        ("stats --range 1:5000 --window 100", None, "s1:5000-w100"),
+        ("stats --range 2050:2600 --window 300 --format json", (2, 2000), "s2050:2600-w300-json"),
+        ("stats --range 301:600 --window 50", (3, 300), "s301:600-a3-w50"),
+        ("stats --range 80001:83000 --window 100", None, "s80001:83000-w100"),
+        ("stats --range 80001:83000 --window 100", (2, 80000), "s80001:83000-w100"),
+    ]
+])
+def test_cli_golden_output(tmp_path, capsys, argv, start, digest):
+    # the CLI's flags build the byte table's sweeps: same bytes, fresh and resumed
+    if start is not None:
+        a, n = start
+        ckpt = dp.save_checkpoint(dp.PowerState(n, dp.from_small(a**n), a), tmp_path / "ck.txt")
+        argv = argv + ["--start-checkpoint", str(ckpt)]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_cli_verify_rejects_huge_forged_n(tmp_path, capsys):
