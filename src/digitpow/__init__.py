@@ -20,7 +20,7 @@ from .intlog import (
     digit_sum_exceeds_log4,
     floor_log2_pow10,
 )
-from .oeis import BFileFormatError, CrossCheckReport, OeisSeries, cross_check, parse_bfile
+from .oeis import BFileFormatError, parse_bfile
 from .power import (
     CheckpointError,
     PowerState,

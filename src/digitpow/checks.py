@@ -59,11 +59,12 @@ lowest `need` nonzero limbs, the ones the walk may expand, is out of
 range.  So the shortcut and the walk give a corrupt value the same
 verdicts, and no table lookup reads past a chunk table.
 
-What depends on no value is built once and shared by every row of a
-sweep, its forked bands included, and by decompose (PositionTable):
+What depends on no value is computed once, at import, so before any
+sweep forks, and read by every row of a sweep and by decompose: BOUNDS,
 B_1..B_15 from intlog.bound_table, which a row cuts at its top digit by
-bisection, the powers 4**(k-1) beside them, and g(0..63), all that the
-pairs in limb 0 read unless the lowest limbs hold few nonzero digits.
+bisection; FOURS, the powers 4**(k-1) beside them; and G_HEAD, g(0..63),
+all that the pairs in limb 0 read unless the lowest limbs hold few
+nonzero digits.
 Any other g(x) a row needs, for a pair higher up or across a run of
 zero limbs, is computed when it is read.  So check_positions refuses a
 value whose top digit sits at or past B_15 = 25731874, where B_16 would
@@ -108,32 +109,19 @@ _PASSED = PositionChecks(True, True, True)
 
 # the first nine pairs read g(a + 1) at their lower digit a, below 63
 # unless the lowest seven limbs hold fewer than nine nonzero digits;
-# past the head a pair computes its g(a + 1)
+# past G_HEAD a pair computes its g(a + 1)
 _HEAD = 64
+BOUNDS = bound_table(BOUND_TABLE_MAX_K)
+FOURS = tuple(4**k for k in range(BOUND_TABLE_MAX_K))
+G_HEAD = tuple(floor_log2_pow10(x) for x in range(_HEAD))
 
 
-class PositionTable:
-    """What check_positions reads that depends on no value.
-
-    bounds holds B_1..B_15, fours 4**(k-1) beside each, and head
-    floor_log2_pow10(x) for x < _HEAD as Python ints.
-    """
-
-    __slots__ = ("bounds", "fours", "head")
-
-    def __init__(self) -> None:
-        self.bounds = bound_table(BOUND_TABLE_MAX_K)
-        self.fours = tuple(4**k for k in range(len(self.bounds)))
-        self.head = [floor_log2_pow10(x) for x in range(_HEAD)]
-
-
-def check_positions(limbs: np.ndarray, digit_count: int, table: PositionTable) -> PositionChecks:
+def check_positions(limbs: np.ndarray, digit_count: int) -> PositionChecks:
     """Position checks on the nonzero digits of one value.
 
     limbs are the value's base-10**9 limbs, lowest first, and
-    digit_count its number of digits, whose top one must sit below B_15;
-    table is a PositionTable, which a caller checking many values builds
-    once.  See the module docstring for why limb 0 decides most values,
+    digit_count its number of digits, whose top one must sit below B_15.
+    See the module docstring for why limb 0 decides most values,
     and the digits of a few limbs decide every value.  If any of the
     lowest `need` nonzero limbs lies outside 0..10**9-1, which no
     canonical value holds, all three fail.
@@ -143,13 +131,12 @@ def check_positions(limbs: np.ndarray, digit_count: int, table: PositionTable) -
     if count == 0:
         raise ValueError("no nonzero digits")
     last = digit_count - 1
-    bounds = table.bounds
-    if last >= bounds[-1]:
-        raise ValueError(f"top digit position {last} is not below B_{len(bounds)} = {bounds[-1]}")
+    if last >= BOUNDS[-1]:
+        raise ValueError(f"top digit position {last} is not below B_{len(BOUNDS)} = {BOUNDS[-1]}")
     # the walks read e_k for k up to the first B_k past last, and limb 0
     # holds at most nine digits, so the pairs whose lower digit lies
     # there are among the first nine pairs
-    need = max(bisect_right(bounds, last) + 1, LIMB_DIGITS + 1)
+    need = max(bisect_right(BOUNDS, last) + 1, LIMB_DIGITS + 1)
     if count == size:  # no zero limb
         low_limbs = limbs[:need].tolist()
         pairs = enumerate(low_limbs)
@@ -167,16 +154,15 @@ def check_positions(limbs: np.ndarray, digit_count: int, table: PositionTable) -
     # B_k < 4**(k-1), so e_k <= B_k passes both; past the first B_k
     # above last every e_k passes both, so zip may run past it
     bound_ok = fourpow_ok = True
-    for e, b, f in zip(low, bounds, table.fours):
+    for e, b, f in zip(low, BOUNDS, FOURS):
         if e > b:
             bound_ok = False
             if e >= f:
                 fourpow_ok = False
                 break
     gap_ok = True
-    head = table.head
     for a, b in zip(low, low[1 : LIMB_DIGITS + 1]):
-        if b > (head[a + 1] if a + 1 < _HEAD else floor_log2_pow10(a + 1)):
+        if b > (G_HEAD[a + 1] if a + 1 < _HEAD else floor_log2_pow10(a + 1)):
             gap_ok = False
             break
     if gap_ok and count < size and count < size - nz[0]:  # a zero limb between nonzero ones

@@ -13,8 +13,8 @@ x*P2 // Q2 that common value is the floor; where they differ (at
 x = Q2, for one) the value comes from the bit length of 10**x.  The
 bracket itself is checked exactly, 2**P1 < 10**Q1 and 2**P2 > 10**Q2,
 from the bit lengths of 5**Q1 and 5**Q2, once per process.  A sweep
-reads about 80 values: the 64 of its position table's head, B_1..B_15,
-and two per digit count it meets.
+reads about 80 values: the 64 of checks.G_HEAD and B_1..B_15, all at
+import, and two per digit count it meets.
 """
 
 from __future__ import annotations

@@ -11,6 +11,8 @@ A checkpoint is a small text file:
 LF line endings, ASCII.  The digest is sha256 over the string
 "multiplier=<a>\\nn=<n>\\n<value>\\n" and is verified before the value is
 decoded, so a corrupted file aborts a resume before any compute starts.
+Each of multiplier, n and the value must be written as its canonical
+decimal, so the digest covers the file's own text.
 The decoded value is then compared exactly with a**n, which also rejects
 a wrong value whose digest was recomputed.  Writes go through a temp
 file plus rename, so a crash never leaves a half-written checkpoint
@@ -191,6 +193,17 @@ def _field(line: str, name: str) -> str:
     return line[len(prefix):]
 
 
+def _int_field(line: str, name: str) -> int:
+    """The integer of a name=<int> line.  Its text must be the integer's
+    canonical decimal, as save_checkpoint writes it and the digest covers
+    it: int() alone would also read "+2", "02", " 2" or "1_00"."""
+    text = _field(line, name)
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"{name}={text!r} is not a canonical integer")
+    return value
+
+
 def load_checkpoint(path: str | Path) -> PowerState:
     """Load and verify a checkpoint; digest mismatch aborts before decoding."""
     try:
@@ -205,8 +218,8 @@ def load_checkpoint(path: str | Path) -> PowerState:
     if lines[0] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad header {lines[0]!r} in {path}")
     try:
-        multiplier = int(_field(lines[1], "multiplier"))
-        n = int(_field(lines[2], "n"))
+        multiplier = _int_field(lines[1], "multiplier")
+        n = _int_field(lines[2], "n")
     except ValueError as exc:
         raise CheckpointError(f"bad field in {path}: {exc}") from exc
     digest = _field(lines[3], "digest")

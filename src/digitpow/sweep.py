@@ -77,7 +77,7 @@ from pathlib import Path
 from typing import IO, Callable
 
 from .bignum import BACKEND, DecimalNat, digit_count, digit_sum, digit_tally, is_doubled
-from .checks import PositionTable, check_positions
+from .checks import check_positions
 from .intlog import digit_count_range, digit_sum_exceeds_log4
 from .power import PowerState, load_checkpoint, save_checkpoint
 from .ratios import render_quotient, render_scaled
@@ -253,14 +253,13 @@ class _RowChecks:
     n of one band, in n order: called with n and multiplier**n, it
     returns the row's record with lemma2_ok still open.  It carries
     multiplier**n mod 9 from pow(multiplier, n, 9), so the mod 9 check
-    reads n, never the value.  table, the sweep's shared PositionTable,
-    is None unless multiplier is 2.
+    reads n, never the value.  The position checks, claims about 2**n,
+    run only when multiplier is 2.
     """
 
-    def __init__(self, multiplier: int, table: PositionTable | None, n: int):
+    def __init__(self, multiplier: int, n: int):
         self.multiplier = multiplier
         self.r9 = pow(multiplier, n, 9)  # a**n mod 9, from n alone
-        self.table = table
         self.dc, self.dc_lo, self.dc_hi = 0, 1, 0  # 2**n has dc digits for n in dc_lo..dc_hi
 
     def __call__(self, n: int, value: DecimalNat) -> VerificationRecord:
@@ -268,13 +267,12 @@ class _RowChecks:
         dc = digit_count(value)
         self.r9 = self.r9 * self.multiplier % 9
         mod9_ok = s % 9 == self.r9
-        table = self.table
-        if table is None:
+        if self.multiplier != 2:
             return VerificationRecord(n, s, dc, m, None, None, None, None, None, None, mod9_ok)
         if dc != self.dc:
             self.dc = dc
             self.dc_lo, self.dc_hi = digit_count_range(dc)
-        gap_ok, fourpow_ok, ekbound_ok = check_positions(value.limbs, dc, table)
+        gap_ok, fourpow_ok, ekbound_ok = check_positions(value.limbs, dc)
         return VerificationRecord(
             n, s, dc, m, digit_sum_exceeds_log4(n, s), None, gap_ok, fourpow_ok,
             ekbound_ok, self.dc_lo <= n <= self.dc_hi, mod9_ok,
@@ -367,10 +365,7 @@ def run_sweep(
         raise ValueError(f"bad emit range {emit_lo}..{emit_hi} for max_n {cfg.max_n}")
     if fmt not in _ROW_TEXT:
         raise ValueError(f"unknown format {fmt!r}")
-    # built before the fork, so no child band certifies the bracket again
-    is_two = state.multiplier == 2
-    table = PositionTable() if is_two else None
-    splits = is_two and cfg.split_checks != "off"
+    splits = state.multiplier == 2 and cfg.split_checks != "off"
     lo = max(emit_lo, start_n + 1)  # the first row emitted
     bands = plan_shards(lo, emit_hi, cfg.jobs if CAN_FORK else 1)
     row_text = _ROW_TEXT[fmt]
@@ -407,7 +402,7 @@ def run_sweep(
             for n in range(first, band_lo):
                 state.step()
                 window.push(n, digit_sum(state.value))
-            row_checks = _RowChecks(state.multiplier, table, band_lo - 1)
+            row_checks = _RowChecks(state.multiplier, band_lo - 1)
             # a private copy of the row before, while it is proven 2**n.
             # A resumed first band with window 1 proves again the state
             # load_checkpoint has just proven.  That proof stays until the

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import digitpow as dp
 import digitpow.checks
-from digitpow.checks import PositionTable, check_positions
+from digitpow.checks import check_positions
 from digitpow.cli import main
 from oracles import (
     decompose,
@@ -24,7 +24,7 @@ positives = st.integers(min_value=1, max_value=10**45)
 def positions(v: int):
     """check_positions on v, set up as a sweep row sets it up."""
     x = dp.from_decimal_string(str(v))
-    return check_positions(x.limbs, len(str(v)), PositionTable())
+    return check_positions(x.limbs, len(str(v)))
 
 
 def test_decompose_examples():
@@ -197,11 +197,6 @@ position_values = st.one_of(
 )
 
 
-# one table for every value, as a sweep has it: a value's verdicts do not
-# depend on the values checked with the table before it
-SHARED_TABLE = PositionTable()
-
-
 @settings(deadline=None, max_examples=500)
 @given(position_values)
 def test_position_checks_match_oracles(v):
@@ -213,10 +208,9 @@ def test_position_checks_match_oracles(v):
     assert result.gap_ok == all(gap_inequality_check(v))
     assert result.fourpow_ok == four_power_bound_check(v)
     assert result.bound_ok == iterated_bound_check(v)
-    assert check_positions(x.limbs, len(digits), SHARED_TABLE) == result
 
 
-# lowest nonzero digits past the table's head, floor(x * log2 10) for
+# lowest nonzero digits past checks.G_HEAD, floor(x * log2 10) for
 # x < 64, so their pairs compute it; it is 209 at x = 63 and 235 at 71
 HIGH_PAIRS = [10**70 + 10**75, 10**70 + 10**235, 10**70 + 10**236, 10**63 + 10**300,
               10**64 + 10**65 + 10**400, 10**62 + 10**209, 10**62 + 10**210,
@@ -225,7 +219,7 @@ HIGH_PAIRS = [10**70 + 10**75, 10**70 + 10**235, 10**70 + 10**236, 10**63 + 10**
 
 @pytest.mark.parametrize("v", HIGH_PAIRS)
 def test_position_checks_past_the_table_head(v):
-    r = check_positions(dp.from_decimal_string(str(v)).limbs, len(str(v)), SHARED_TABLE)
+    r = positions(v)
     assert r.gap_ok == all(gap_inequality_check(v))
     assert r.fourpow_ok == four_power_bound_check(v) is False
     assert r.bound_ok == iterated_bound_check(v) is False
@@ -234,19 +228,19 @@ def test_position_checks_past_the_table_head(v):
 def test_position_checks_refuse_a_value_past_the_last_bound():
     # B_15 = 25731874 must lie past the top digit, so that every e_k
     # past e_15 passes; a value reaching it is refused, not passed
-    table = PositionTable()
-    assert table.bounds[:5] == (0, 3, 13, 46, 156) and len(table.bounds) == 15
-    assert table.fours[:5] == (1, 4, 16, 64, 256) and len(table.fours) == 15
-    assert table.head == [(10**x).bit_length() - 1 for x in range(64)]
-    top = table.bounds[-1]
+    bounds, fours = digitpow.checks.BOUNDS, digitpow.checks.FOURS
+    assert bounds[:5] == (0, 3, 13, 46, 156) and len(bounds) == 15
+    assert fours[:5] == (1, 4, 16, 64, 256) and len(fours) == 15
+    assert digitpow.checks.G_HEAD == tuple((10**x).bit_length() - 1 for x in range(64))
+    top = bounds[-1]
     for last, ok in ((top - 1, True), (top, False), (top + 9, False)):
         limbs = np.zeros(last // 9 + 1, dtype=np.int32)
         limbs[0], limbs[-1] = 1, 10 ** (last % 9)
         if ok:
-            assert tuple(check_positions(limbs, last + 1, table)) == (False, False, False)
+            assert tuple(check_positions(limbs, last + 1)) == (False, False, False)
         else:
             with pytest.raises(ValueError, match="not below B_15 = 25731874"):
-                check_positions(limbs, last + 1, table)
+                check_positions(limbs, last + 1)
 
 
 def test_gap_check_across_zero_limbs():
@@ -280,10 +274,9 @@ def test_position_checks_fail_an_expanded_limb_out_of_range(limb, bad):
     # Limb 0 (835301376) meets the shortcut's condition, and the walk
     # would not reach limb 2: only the range rule catches it
     x = dp.from_decimal_string(str(2**200))
-    table = PositionTable()
-    assert all(check_positions(x.limbs, 61, table))
+    assert all(check_positions(x.limbs, 61))
     x.limbs[limb] = bad
-    assert tuple(check_positions(x.limbs, 61, table)) == (False, False, False)
+    assert tuple(check_positions(x.limbs, 61)) == (False, False, False)
 
 
 def shortcut_limbs(size, density, seed):
@@ -307,7 +300,7 @@ def test_shortcut_matches_oracles(size, density, seed):
     text = "".join(f"{x:09d}" for x in reversed(limbs.tolist())).lstrip("0")
     v = int(text)
     verdicts = (all(gap_inequality_check(v)), four_power_bound_check(v), iterated_bound_check(v))
-    assert tuple(check_positions(limbs, len(text), SHARED_TABLE)) == verdicts == (True,) * 3
+    assert tuple(check_positions(limbs, len(text))) == verdicts == (True,) * 3
 
 
 def count_walks(monkeypatch) -> list[None]:

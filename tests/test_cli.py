@@ -312,11 +312,11 @@ def test_verify_ignores_a_row_changed_after_the_next_step(tmp_path, capsys, monk
     real = digitpow.sweep.check_positions
     held = []
 
-    def spy(limbs, digit_count, table):
+    def spy(limbs, digit_count):
         held.append(limbs)  # one call per row: held[n - 1] is row n's
         if len(held) == 101:
             held[99][0] += 2  # 2**100 + 2
-        return real(limbs, digit_count, table)
+        return real(limbs, digit_count)
 
     monkeypatch.setattr(digitpow.sweep, "check_positions", spy)
     argv = ["verify", "--max-n", "130", "--jobs", "1", "--out", str(tmp_path / "rows.csv")]
@@ -685,7 +685,20 @@ def test_cli_oeis_clean(tmp_path, capsys):
     path = tmp_path / "b.txt"
     path.write_text(bfile_text(values))
     assert main(["oeis", str(path)]) == 0
-    assert "0 mismatches" in capsys.readouterr().err
+    assert capsys.readouterr().err == "oeis: compared 51 entries, 0 mismatches\n"
+
+
+@pytest.mark.parametrize("first,last,max_n,compared", [
+    (30, 80, None, 51), (-3, 60, 40, 41), (0, 9, 500, 10),
+])
+def test_cli_oeis_compares_the_overlap(tmp_path, capsys, first, last, max_n, compared):
+    # indices below 0 and past --max-n are not compared
+    values = {n: oracle_digit_sum(n) if n >= 0 else 1 for n in range(first, last + 1)}
+    path = tmp_path / "b.txt"
+    path.write_text(bfile_text(values))
+    argv = ["oeis", str(path)] + ([] if max_n is None else ["--max-n", str(max_n)])
+    assert main(argv) == 0
+    assert capsys.readouterr().err == f"oeis: compared {compared} entries, 0 mismatches\n"
 
 
 def test_cli_oeis_mismatch(tmp_path, capsys):
@@ -694,15 +707,26 @@ def test_cli_oeis_mismatch(tmp_path, capsys):
     path = tmp_path / "b.txt"
     path.write_text(bfile_text(values))
     assert main(["oeis", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert "MISMATCH n=17" in err
+    assert capsys.readouterr().err.splitlines() == [
+        f"MISMATCH n=17: b-file {values[17]}, computed {values[17] - 1}",
+        "oeis: compared 51 entries, 1 mismatches",
+    ]
 
 
 def test_cli_oeis_empty_overlap(tmp_path, capsys):
     path = tmp_path / "b.txt"
     path.write_text("200 5\n201 6\n")
     assert main(["oeis", str(path), "--max-n", "50"]) == 2
-    assert "overlap" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "oeis: empty overlap between the b-file and computed range\n")
+
+
+@pytest.mark.parametrize("text,flags", [("0 1\n1 2\n", ["--max-n", "-1"]), ("-2 1\n-1 1\n", [])])
+def test_cli_oeis_no_overlap_at_or_above_zero(tmp_path, capsys, text, flags):
+    path = tmp_path / "b.txt"
+    path.write_text(text)
+    assert main(["oeis", str(path), *flags]) == 2
+    assert capsys.readouterr().err == "oeis: no overlap at or above n=0\n"
 
 
 def test_cli_oeis_malformed(tmp_path, capsys):

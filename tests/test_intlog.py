@@ -7,7 +7,7 @@ from mpmath import mp
 
 import digitpow as dp
 import digitpow.intlog
-from digitpow.checks import PositionTable
+from digitpow.checks import BOUNDS
 from digitpow.intlog import digit_count_range
 
 
@@ -124,7 +124,7 @@ def test_bound_table_to_the_last_entry():
     for _ in range(10):
         exact.append((10 ** (exact[-1] + 1)).bit_length() - 1)
     assert entries[:11] == tuple(exact)
-    assert entries == PositionTable().bounds
+    assert entries == BOUNDS
     # no B_k + 1 up to k = 14 needs the exact route
     assert not any(brackets_differ(b + 1) for b in entries)
 

@@ -232,6 +232,20 @@ def test_checkpoint_rejects_a_leading_zero(tmp_path):
     assert "leading zero" in str(exc.value)
 
 
+@pytest.mark.parametrize("line,text", [
+    ("multiplier=2", "multiplier=+2"), ("multiplier=2", "multiplier=02"),
+    ("n=100", "n=1_00"), ("n=100", "n=+100"), ("n=100", "n=0100"), ("n=100", "n= 100"),
+])
+def test_checkpoint_rejects_a_field_not_in_canonical_form(tmp_path, line, text):
+    # the digest covers "multiplier=2\nn=100\n...", and int() reads the
+    # field as 2 or 100; but a field is its canonical decimal or nothing
+    path = tmp_path / "ck.txt"
+    path.write_text(checkpoint_text(2, 100, str(2**100)).replace(f"\n{line}\n", f"\n{text}\n"))
+    with pytest.raises(dp.CheckpointError) as exc:
+        dp.load_checkpoint(path)
+    assert "not a canonical integer" in str(exc.value)
+
+
 def test_checkpoint_loads_every_multiplier(tmp_path):
     # the bit-length screen in front of the exact check passes every a**n
     path = tmp_path / "ck.txt"
