@@ -14,16 +14,23 @@ decoded, so a corrupted file aborts a resume before any compute starts.
 Each of multiplier, n and the value must be written as its canonical
 decimal, so the digest covers the file's own text.
 The decoded value is then compared exactly with a**n, which also rejects
-a wrong value whose digest was recomputed.  Writes go through a temp
-file plus rename, so a crash never leaves a half-written checkpoint
-behind.
+a wrong value whose digest was recomputed.
+
+A save renders the value once, computes the digest, and writes the
+file's bytes with os.write to a temp file beside the target, named
+<name>.<pid>.tmp so that no two live processes share one.  The temp
+file is created afresh with mode 0o600 (a leftover of that name, from
+a crashed process that had the same pid, is removed first, so its mode
+or a symlink there is never reused).  Every byte is written, the file
+is fsynced, and only then renamed over the target, so a crash never
+leaves a half-written checkpoint behind; a failed save removes its
+temp file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -155,13 +162,29 @@ def _payload_digest(multiplier: int, n: int, value_str: str) -> str:
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+# O_EXCL creates the temp file afresh, with mode 0o600, or fails; it
+# never opens a file or a symlink already at the temp name
+_TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+
+
+def _atomic_write(path: Path, data: bytes) -> None:
+    """Write data to path through <name>.<pid>.tmp beside it: every byte,
+    then fsync, then rename over path.  A failure removes the temp file."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with os.fdopen(fd, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
+        fd = os.open(tmp, _TEMP_FLAGS, 0o600)
+    except FileExistsError:
+        # left by a crashed process that had this pid
+        os.unlink(tmp)
+        fd = os.open(tmp, _TEMP_FLAGS, 0o600)
+    try:
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            os.fsync(fd)
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -182,7 +205,7 @@ def save_checkpoint(state: PowerState, path: str | Path) -> Path:
         f"digest={digest}\n"
         f"{value_str}\n"
     )
-    _atomic_write_text(path, text)
+    _atomic_write(path, text.encode("ascii"))
     return path
 
 

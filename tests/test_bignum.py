@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -150,6 +152,50 @@ def test_digit_tally_chunk_boundaries(low, top):
     x = dp.DecimalNat(np.array([*low, top], dtype=np.int32))
     digits = str(to_int(x))
     assert dp.digit_tally(x) == (sum(map(int, digits)), len(digits) - digits.count("0"))
+
+
+# limb kinds the renderer splits differently: zero, one digit, a nonzero
+# top digit (10**8..10**9-1), and any limb
+render_limbs = st.one_of(
+    st.just(0), st.integers(1, 9), st.integers(10**8, 10**9 - 1), st.integers(0, 10**9 - 1)
+)
+
+
+# a limb array as runs: one drawn limb repeated, or as many random limbs
+limb_runs = st.lists(
+    st.tuples(render_limbs, st.integers(1, 400), st.booleans()), min_size=1, max_size=16
+)
+
+
+@settings(deadline=None)
+@given(limb_runs, st.integers(0, 2**32 - 1), render_limbs.filter(bool))
+def test_to_decimal_string_matches_str(runs, seed, top):
+    rng = np.random.default_rng(seed)
+    low = np.concatenate([
+        rng.integers(0, 10**9, count) if scatter else np.full(count, limb)
+        for limb, count, scatter in runs
+    ])[:2999]
+    x = dp.DecimalNat(np.append(low, top).astype(np.int32))
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(to_int(x))
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert dp.to_decimal_string(x) == want
+
+
+@pytest.mark.parametrize("v", [0, 10**9 - 1, 10**9, 10**18, 10**27 + 1])
+def test_to_decimal_string_edges(v):
+    x = dp.from_small(v)
+    assert dp.to_decimal_string(x) == str(v)
+    s = str(v)[::-1]
+    assert dp.digit_scan(x) == [(int(c), i) for i, c in enumerate(s) if c != "0"]
+
+
+def test_ascii_table():
+    assert bignum._ASCII4.dtype == np.uint32 and bignum._ASCII4.size == 10**4
+    assert bignum._ASCII4.tobytes() == b"".join(b"%04d" % w for w in range(10**4))
 
 
 @given(naturals)

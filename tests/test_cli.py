@@ -53,7 +53,7 @@ def test_sweep_rows_expand_no_digit_array(monkeypatch):
     def refuse(limbs):
         raise AssertionError("a sweep row expanded every digit")
 
-    monkeypatch.setattr(dp.bignum, "_digit_planes", refuse)
+    monkeypatch.setattr(dp.bignum, "_ascii_rows", refuse)
     summary, records = dp.run_sweep(
         dp.SweepConfig(max_n=300), out=io.StringIO(), collect=True
     )

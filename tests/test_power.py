@@ -1,3 +1,6 @@
+import os
+import stat
+
 import pytest
 
 import digitpow as dp
@@ -143,6 +146,62 @@ def test_checkpoint_file_format(tmp_path):
     assert lines[3] == "digest=" + _payload_digest(3, 5, "243")
     assert lines[4] == "243"
     assert text.endswith("\n") and "\r" not in text
+
+
+def state_at(n: int, multiplier: int = 2) -> dp.PowerState:
+    return dp.PowerState(n, dp.from_small(multiplier**n), multiplier)
+
+
+def test_checkpoint_write_failure_leaves_no_file(tmp_path, monkeypatch):
+    earlier = dp.save_checkpoint(state_at(10), tmp_path / "ckpt-10.txt")
+    before = earlier.read_bytes()
+
+    def fail(fd):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(os, "fsync", fail)
+    with pytest.raises(OSError, match="disk gone"):
+        dp.save_checkpoint(state_at(20), tmp_path / "ckpt-20.txt")
+    # neither the target nor the temp file; the earlier save untouched
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt-10.txt"]
+    assert earlier.read_bytes() == before
+
+
+def test_checkpoint_mode_and_short_writes(tmp_path, monkeypatch):
+    real_write = os.write
+    calls = []
+
+    def short_write(fd, data):
+        calls.append(len(data))
+        return real_write(fd, data[:100])
+
+    monkeypatch.setattr(os, "write", short_write)
+    state = state_at(1000)
+    path = dp.save_checkpoint(state, tmp_path / "ck.txt")
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    # every byte written across the short writes
+    assert len(calls) == -(-path.stat().st_size // 100) > 1
+    assert dp.load_checkpoint(path) == state
+
+
+def test_checkpoint_replaces_a_leftover_temp_file(tmp_path):
+    # a crashed save by a process that had this pid left its temp file,
+    # readable by all; another left a symlink to a file it must not write
+    path = tmp_path / "ck.txt"
+    tmp = tmp_path / f"ck.txt.{os.getpid()}.tmp"
+    tmp.write_bytes(b"half a checkpoint")
+    tmp.chmod(0o644)
+    dp.save_checkpoint(state_at(30), path)
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.txt"]
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert dp.load_checkpoint(path) == state_at(30)
+    victim = tmp_path / "victim.txt"
+    victim.write_bytes(b"keep")
+    tmp.symlink_to(victim)
+    dp.save_checkpoint(state_at(40), path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.txt", "victim.txt"]
+    assert victim.read_bytes() == b"keep"
+    assert dp.load_checkpoint(path) == state_at(40)
 
 
 def test_checkpoint_digest_tamper(tmp_path):
