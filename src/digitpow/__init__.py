@@ -28,6 +28,6 @@ from .power import (
     save_checkpoint,
     validate_multiplier,
 )
-from .sweep import SweepConfig, SweepSummary, VerificationRecord, run_sweep
+from .sweep import SweepConfig, SweepSummary, run_sweep
 
 __version__ = "0.1.0"

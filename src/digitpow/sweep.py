@@ -41,11 +41,11 @@ state is loaded and verified the process forks one child per band but
 the first.  Each child walks its copy of the start state to its own
 band and checks it into a buffer; the parent checks the first band,
 streaming it to `out` and polling its children every POLL_ROWS rows,
-then writes each child's text in n order and
-merges its failure counts, records, failure lines and log lines.  A
-row of a sound chain passes its split check from any band start, and
-every running_mean comes from its own window.  So the output bytes of
-a passing run depend neither on `jobs` nor on where the batches fall.
+then writes each child's text in n order and merges its row count,
+failure counts and failure lines.  A row of a sound chain passes its
+split check from any band start, and every running_mean comes from its
+own window.  So the output bytes of a passing run depend neither on
+`jobs` nor on where the batches fall.
 
 A row's running_mean comes from a rolling integer sum of its window's
 terms floor(s * 10**16 / n), which brackets the exact sum; only when a
@@ -147,7 +147,6 @@ class SweepSummary:
     rows: int = 0
     elapsed: float = 0.0
     check_failures: dict[str, int] = field(default_factory=dict)
-    failure_lines: list[str] = field(default_factory=list)
     jobs: int = 1  # shards that ran
 
     @property
@@ -280,21 +279,19 @@ class _RowChecks:
 
 
 class _Tally:
-    """Row count, check failures, records and failure lines of one shard.
+    """Row count, check failures and failure lines of one shard.
 
     A row logs one failure line, and a shard keeps the first
     MAX_LOGGED_FAILURES of them.  The parent's own shard logs them as it
     goes; a forked shard logs nothing, and the parent replays its lines
-    into its tally when the shards before it are done, so the log, the
-    failure counts and the failure lines read as one process would have
-    written them.
+    into its tally when the shards before it are done, so the log and
+    the failure counts read as one process would have written them.
     """
 
-    def __init__(self, collect: bool, log: Callable[[str], None] | None):
+    def __init__(self, log: Callable[[str], None] | None):
         self.rows = 0
         self.check_failures: dict[str, int] = {}
         self.failure_lines: list[str] = []
-        self.records: list[VerificationRecord] | None = [] if collect else None
         self._log = log
 
     def failure_line(self, line: str) -> None:
@@ -306,8 +303,6 @@ class _Tally:
 
     def add(self, rec: VerificationRecord) -> None:
         self.rows += 1
-        if self.records is not None:
-            self.records.append(rec)
         # the CHECK_NAMES, each a bool or None, tested one by one: a
         # third of the cost of an attrgetter's tuple and a scan of it
         if (
@@ -325,8 +320,6 @@ class _Tally:
         self.rows += later.rows
         for name, count in later.check_failures.items():
             self.check_failures[name] = self.check_failures.get(name, 0) + count
-        if self.records is not None:
-            self.records += later.records
         for line in later.failure_lines:
             self.failure_line(line)
 
@@ -342,10 +335,10 @@ def run_sweep(
     cfg: SweepConfig,
     out: IO[str],
     fmt: str = "csv",
-    collect: bool = False,
     log: Callable[[str], None] | None = None,
-) -> tuple[SweepSummary, list[VerificationRecord]]:
-    """Run the sweep; returns the summary and (if collect) all records."""
+) -> tuple[SweepSummary, list]:
+    """Run the sweep, writing its rows to `out` and each failure line,
+    prefixed "FAIL ", to `log`; returns the summary and an empty list."""
     state = _initial_state(cfg)
     start_n = state.n
     if cfg.max_n <= start_n:
@@ -445,7 +438,7 @@ def run_sweep(
 
     def run_forked(band: tuple[int, int]) -> tuple[str, _Tally, list[PowerState]]:
         text = io.StringIO()
-        tally = _Tally(collect, None)
+        tally = _Tally(None)
         kept: list[PowerState] = []
 
         def keep(s: PowerState) -> None:
@@ -458,7 +451,7 @@ def run_sweep(
         for child in children:
             child.poll()
 
-    tally = _Tally(collect, log)
+    tally = _Tally(log)
     children: list[Forked] = []
     t0 = time.perf_counter()
     try:
@@ -477,6 +470,7 @@ def run_sweep(
 
     summary = SweepSummary(
         state.multiplier, lo, emit_hi, tally.rows, time.perf_counter() - t0,
-        tally.check_failures, tally.failure_lines, jobs=len(bands),
+        tally.check_failures, jobs=len(bands),
     )
-    return summary, tally.records if collect else []
+    # the empty list remains so callers that unpack a pair still run
+    return summary, []

@@ -44,10 +44,6 @@ def school_mul_small(s: str, c: int) -> str:
     return "".join(reversed(out))
 
 
-def school_double(s: str) -> str:
-    return school_mul_small(s, 2)
-
-
 def render_fraction(value: Fraction, places: int) -> str:
     """value >= 0 to `places` fractional digits, round-half-even, the
     tie decided by comparing the exact remainder with 1/2."""

@@ -10,6 +10,7 @@ shards.  A golden moves only with the sweep's bytes."""
 import functools
 import hashlib
 import io
+import json
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -115,11 +116,14 @@ def sweep(row: str, jobs: int, resumed: bool) -> tuple[str, dp.SweepSummary, lis
             start = dp.save_checkpoint(dp.PowerState(r, dp.from_small(a**r), a), f"{tmp}/start")
         ckdir = Path(tmp, "ck") if ckpts else None
         buf, logs = io.StringIO(), []
-        summary, records = dp.run_sweep(
+        summary, _ = dp.run_sweep(
             replace(cfg, jobs=jobs, start_checkpoint=start, checkpoint_dir=ckdir),
-            out=buf, fmt=fmt, collect=True, log=logs.append,
+            out=buf, fmt=fmt, log=logs.append,
         )
-        assert [rec.n for rec in records] == list(range(summary.first_n, summary.last_n + 1))
+        lines = buf.getvalue().splitlines()
+        ns = ([int(line.split(",")[0]) for line in lines[1:]] if fmt == "csv"
+              else [json.loads(line)["n"] for line in lines])
+        assert ns == list(range(summary.first_n, summary.last_n + 1))
         files = sorted(ckdir.iterdir()) if ckdir else []
         ckpt = b"".join(p.name.encode() + b"\n" + p.read_bytes() for p in files)
     return buf.getvalue(), summary, logs, hashlib.sha256(ckpt).hexdigest() if ckdir else ""

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +15,7 @@ from oracles import (
     oracle_digit_sum,
     verify_split,
 )
+from test_cli import run_json
 
 positives = st.integers(min_value=1, max_value=10**45)
 
@@ -103,11 +102,9 @@ def test_verify_split_all_k(n):
 def test_scan_matches_verify_split():
     # a sweep row passes its split check when it is proven to hold 2**n,
     # and every low part of 2**n, formed directly, meets the bound
-    _, records = dp.run_sweep(
-        dp.SweepConfig(max_n=212, jobs=1), out=io.StringIO(), collect=True
-    )
+    _, rows = run_json(dp.SweepConfig(max_n=212, jobs=1))
     for n in (5, 17, 64, 100, 212):
-        rec = records[n - 1]
+        rec = rows[n - 1]
         kmax = min(n, rec.digit_count - 1)
         assert rec.lemma2_ok and rec.lemma2_checked == kmax
         assert all(verify_split(2**n, k).ok for k in range(1, kmax + 1))

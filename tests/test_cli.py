@@ -3,6 +3,7 @@ import io
 import json
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,19 +33,26 @@ def run_csv(cfg: dp.SweepConfig) -> tuple[dp.SweepSummary, list[str]]:
     return summary, buf.getvalue().splitlines()
 
 
+def run_json(cfg: dp.SweepConfig) -> tuple[dp.SweepSummary, list[SimpleNamespace]]:
+    """The sweep's JSON rows, each read back with its fields as attributes."""
+    buf = io.StringIO()
+    summary, _ = dp.run_sweep(cfg, out=buf, fmt="json")
+    rows = [json.loads(line, object_hook=lambda d: SimpleNamespace(**d))
+            for line in buf.getvalue().splitlines()]
+    return summary, rows
+
+
 def test_sweep_small_records():
-    summary, records = dp.run_sweep(
-        dp.SweepConfig(max_n=10), out=io.StringIO(), collect=True
-    )
+    summary, rows = run_json(dp.SweepConfig(max_n=10))
     assert summary.ok and summary.rows == 10
-    assert [r.n for r in records] == list(range(1, 11))
-    last = records[-1]
+    assert [r.n for r in rows] == list(range(1, 11))
+    last = rows[-1]
     assert (last.s, last.digit_count, last.m) == (7, 4, 3)
     assert last.theorem_ok and last.lemma2_ok and last.gap_ok and last.fourpow_ok
     assert last.ekbound_ok and last.digitcount_ok and last.mod9_ok
     assert last.lemma2_checked == 3  # min(n, digit_count - 1)
-    assert records[0].s == 2
-    assert [r.s for r in records] == [oracle_digit_sum(n) for n in range(1, 11)]
+    assert rows[0].s == 2
+    assert [r.s for r in rows] == [oracle_digit_sum(n) for n in range(1, 11)]
 
 
 def test_sweep_rows_expand_no_digit_array(monkeypatch):
@@ -54,12 +62,10 @@ def test_sweep_rows_expand_no_digit_array(monkeypatch):
         raise AssertionError("a sweep row expanded every digit")
 
     monkeypatch.setattr(dp.bignum, "_ascii_rows", refuse)
-    summary, records = dp.run_sweep(
-        dp.SweepConfig(max_n=300), out=io.StringIO(), collect=True
-    )
+    summary, rows = run_json(dp.SweepConfig(max_n=300))
     assert summary.ok and summary.rows == 300
-    assert [r.s for r in records] == [oracle_digit_sum(n) for n in range(1, 301)]
-    assert [r.m for r in records] == [sum(c != "0" for c in str(2**n)) for n in range(1, 301)]
+    assert [r.s for r in rows] == [oracle_digit_sum(n) for n in range(1, 301)]
+    assert [r.m for r in rows] == [sum(c != "0" for c in str(2**n)) for n in range(1, 301)]
 
 
 def test_sweep_csv_shape():
@@ -88,11 +94,9 @@ def test_sweep_json_rows():
 
 
 def test_sweep_other_multiplier():
-    summary, records = dp.run_sweep(
-        dp.SweepConfig(max_n=30, multiplier=3), out=io.StringIO(), collect=True
-    )
+    summary, rows = run_json(dp.SweepConfig(max_n=30, multiplier=3))
     assert summary.ok
-    for rec in records:
+    for rec in rows:
         assert rec.s == oracle_digit_sum(rec.n, 3)
         assert rec.theorem_ok is None and rec.lemma2_ok is None
         assert rec.gap_ok is None and rec.fourpow_ok is None
@@ -102,18 +106,14 @@ def test_sweep_other_multiplier():
 
 
 def test_sweep_multiplier_ending_in_zero():
-    summary, records = dp.run_sweep(
-        dp.SweepConfig(max_n=20, multiplier=20), out=io.StringIO(), collect=True
-    )
+    summary, rows = run_json(dp.SweepConfig(max_n=20, multiplier=20))
     assert summary.ok
-    assert records[-1].s == oracle_digit_sum(20, 20)
+    assert rows[-1].s == oracle_digit_sum(20, 20)
 
 
 def test_sweep_emit_range():
-    summary, records = dp.run_sweep(
-        dp.SweepConfig(max_n=20, emit_range=(5, 8)), out=io.StringIO(), collect=True
-    )
-    assert [r.n for r in records] == [5, 6, 7, 8]
+    summary, rows = run_json(dp.SweepConfig(max_n=20, emit_range=(5, 8)))
+    assert [r.n for r in rows] == [5, 6, 7, 8]
     assert summary.rows == 4
 
 
@@ -138,21 +138,23 @@ def test_sweep_checks_every_split(tmp_path, split_checks):
         dp.SweepConfig(max_n=40, split_checks=split_checks),
         dp.SweepConfig(max_n=2520, start_checkpoint=ckpt, split_checks=split_checks),
     ):
-        summary, records = dp.run_sweep(cfg, out=io.StringIO(), collect=True)
+        summary, rows = run_json(cfg)
         assert summary.ok
-        for rec in records:
+        for rec in rows:
             assert rec.lemma2_checked == min(rec.n, rec.digit_count - 1)
 
 
 def test_sweep_rejects_bad_config():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_n 0 is not beyond start n 0"):
         dp.run_sweep(dp.SweepConfig(max_n=0), out=io.StringIO())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown split_checks mode 'sometimes'"):
         dp.run_sweep(dp.SweepConfig(max_n=10, split_checks="sometimes"), out=io.StringIO())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bad emit range 5..20 for max_n 10"):
         dp.run_sweep(dp.SweepConfig(max_n=10, emit_range=(5, 20)), out=io.StringIO())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="multiplier 10 is a power of ten"):
         dp.run_sweep(dp.SweepConfig(max_n=10, multiplier=10), out=io.StringIO())
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        dp.run_sweep(dp.SweepConfig(max_n=10), out=io.StringIO(), fmt="xml")
 
 
 @pytest.mark.parametrize("n,max_n", [(0, 1), (10, 11)])
@@ -160,13 +162,12 @@ def test_sweep_resume_with_an_extra_digit(tmp_path, monkeypatch, n, max_n):
     # 10 * 2**n: one digit more than 2**max_n has, so no row's digit
     # count matches its n
     load_start(monkeypatch, n, 10 * 2**n)
-    summary, records = dp.run_sweep(
-        dp.SweepConfig(max_n=max_n, start_checkpoint=tmp_path / "unread.txt"),
-        out=io.StringIO(), collect=True
+    summary, rows = run_json(
+        dp.SweepConfig(max_n=max_n, start_checkpoint=tmp_path / "unread.txt")
     )
-    assert records[-1].digit_count > max_n // 3 + 1
+    assert rows[-1].digit_count > max_n // 3 + 1
     assert not summary.ok
-    assert all(rec.digitcount_ok is False for rec in records)
+    assert all(rec.digitcount_ok is False for rec in rows)
 
 
 @pytest.mark.parametrize("window,multiplier,fmt", [
@@ -450,12 +451,10 @@ def test_resume_adopts_checkpoint_multiplier(tmp_path):
     for _ in range(10):
         state.step()
     ckpt = dp.save_checkpoint(state, tmp_path / "ck.txt")
-    summary, records = dp.run_sweep(
-        dp.SweepConfig(max_n=15, start_checkpoint=ckpt), out=io.StringIO(), collect=True
-    )
+    summary, rows = run_json(dp.SweepConfig(max_n=15, start_checkpoint=ckpt))
     assert summary.multiplier == 3
-    assert records[-1].s == oracle_digit_sum(15, 3)
-    with pytest.raises(ValueError):
+    assert rows[-1].s == oracle_digit_sum(15, 3)
+    with pytest.raises(ValueError, match="does not match requested"):
         dp.run_sweep(
             dp.SweepConfig(max_n=15, multiplier=2, start_checkpoint=ckpt), out=io.StringIO()
         )

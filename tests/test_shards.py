@@ -19,11 +19,11 @@ JOBS = (1, 2, 3)
 
 def run(cfg_args: dict, jobs: int, ckdir: Path | None = None):
     buf, logs = io.StringIO(), []
-    summary, records = dp.run_sweep(
+    summary, _ = dp.run_sweep(
         dp.SweepConfig(jobs=jobs, checkpoint_dir=ckdir, **cfg_args),
-        out=buf, collect=True, log=logs.append,
+        out=buf, log=logs.append,
     )
-    return buf.getvalue(), summary, records, logs
+    return buf.getvalue(), summary, logs
 
 
 def test_sharded_tampered_start_reports_as_one_process(monkeypatch):
@@ -34,12 +34,11 @@ def test_sharded_tampered_start_reports_as_one_process(monkeypatch):
     load_start(monkeypatch, 10, 10 * 2**10)
     reports = []
     for jobs in JOBS:
-        text, summary, records, logs = run({"max_n": 36, "start_checkpoint": "unread"}, jobs)
+        text, summary, logs = run({"max_n": 36, "start_checkpoint": "unread"}, jobs)
         assert summary.jobs == jobs
-        reports.append((text, list(summary.check_failures.items()),
-                        summary.failure_lines, logs))
+        reports.append((text, list(summary.check_failures.items()), logs))
     assert len(reports[0][2]) == dp.sweep.MAX_LOGGED_FAILURES
-    assert reports[0][2][-1].startswith("n=30:")
+    assert reports[0][2][-1].startswith("FAIL n=30:")
     assert all(plan_shards(11, 36, jobs)[0][1] < 30 for jobs in JOBS[1:])
     assert reports[0][1] == [
         ("lemma2_ok", 26), ("fourpow_ok", 26), ("ekbound_ok", 26), ("digitcount_ok", 26)
